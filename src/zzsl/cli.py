@@ -313,7 +313,7 @@ def parse_and_run(argv: list[str]) -> int:
         return code if isinstance(code, int) else 2
     try:
         return ns.func(ns)
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

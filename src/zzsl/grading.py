@@ -69,7 +69,7 @@ class AlgebraParams:
     def __post_init__(self) -> None:
         for name in ("m1", "m2", "n1", "n2"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 0:
+            if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
 
     @property
@@ -390,66 +390,150 @@ def jacobi_residual(x: GradedMatrix, y: GradedMatrix, z: GradedMatrix) -> Graded
     return result - term3 if sign == 1 else result + term3
 
 
+# Parity of a.b for 2-bit grade masks a, b, indexed by a & b: the bracket
+# sign (-1)**(a.b) is -1 exactly when _ODD[a & b] is 1.
+_ODD = (0, 1, 1, 0)
+
+
+def _mask(grade: Grade) -> int:
+    return grade.a1 << 1 | grade.a2
+
+
+class _IntegerBrackets(dict):
+    """Graded brackets of interned sparse integer matrices, memoised by id pair.
+
+    An element is a sorted tuple of ``((i, j), c)`` with integer ``c != 0``;
+    interning gives it an int id, and id 0 is the zero matrix.  Looking up
+    ``self[x, y]`` returns the id of ``[x, y]``, computing it on first use by
+    sparse products over the homogeneous components, exactly as
+    ``graded_bracket`` does on ``GradedMatrix``.  One instance serves one
+    axiom sweep, so the memo never outlives the call.
+    """
+
+    def __init__(self, index_masks: list[int]) -> None:
+        super().__init__()
+        self.index_masks = index_masks
+        self.elements: list[tuple] = []
+        # per id: [(grade mask, entries ((i, k), c), rows {k: [(j, c)]})]
+        self.components: list[list[tuple[int, tuple, dict]]] = []
+        self._ids: dict[tuple, int] = {}
+        self.intern(())
+
+    def intern(self, entries: tuple) -> int:
+        eid = self._ids.get(entries)
+        if eid is None:
+            eid = self._ids[entries] = len(self.elements)
+            self.elements.append(entries)
+            masks = self.index_masks
+            parts: dict[int, list] = {}
+            for entry in entries:
+                (i, j), _ = entry
+                parts.setdefault(masks[i] ^ masks[j], []).append(entry)
+            comps = []
+            for grade, part in sorted(parts.items()):
+                rows: dict[int, list[tuple[int, int]]] = {}
+                for (k, j), c in part:
+                    rows.setdefault(k, []).append((j, c))
+                comps.append((grade, tuple(part), rows))
+            self.components.append(comps)
+        return eid
+
+    def __missing__(self, key: tuple[int, int]) -> int:
+        x, y = key
+        acc: dict[tuple[int, int], int] = {}
+        ycomps = self.components[y]
+        for a, xa, xrows in self.components[x]:
+            for b, yb, yrows in ycomps:
+                _add_product(acc, xa, yrows, 1)
+                # subtract (-1)**(a.b) * Y_b X_a
+                _add_product(acc, yb, xrows, 1 if _ODD[a & b] else -1)
+        value = self[key] = self.intern(_nonzero(acc))
+        return value
+
+    def combine(self, terms: Iterable[tuple[int, int]]) -> tuple:
+        """Entries of the integer combination sum(c * element) over (id, c)."""
+        acc: dict[tuple[int, int], int] = {}
+        for eid, coeff in terms:
+            for key, c in self.elements[eid]:
+                acc[key] = acc.get(key, 0) + coeff * c
+        return _nonzero(acc)
+
+
+def _add_product(acc: dict, a: tuple, b_rows: dict, sign: int) -> None:
+    """acc += sign * A.B for entries A and row map B."""
+    for (i, k), x in a:
+        for j, y in b_rows.get(k, ()):
+            key = (i, j)
+            acc[key] = acc.get(key, 0) + sign * x * y
+
+
+def _nonzero(acc: dict) -> tuple:
+    return tuple(sorted(item for item in acc.items() if item[1]))
+
+
 def axiom_report(params: AlgebraParams) -> AxiomReport:
     """Exhaustive bracket-axiom sweep over all matrix units of the algebra.
 
     Checks, on every homogeneous basis pair, the symmetry identity, the
     grading of the bracket and the vanishing of the supertrace of brackets;
-    and the Jacobi identity on every basis triple.
+    and the Jacobi identity on every basis triple.  Every matrix met by the
+    sweep has integer entries, so it runs on interned integer matrices
+    (``_IntegerBrackets``); failing residuals are rendered as ``GradedMatrix``
+    and ``RadicalSum`` JSON.
     """
-    n = params.size
-    units: list[tuple[int, int, GradedMatrix, Grade]] = []
-    for i in params.indices():
-        for j in params.indices():
-            m = GradedMatrix.unit(params, i, j)
-            units.append((i, j, m, m.entry_grade(i, j)))
+    m = params.m
+    index_masks = [_mask(params.index_grade(i)) for i in params.indices()]
+    brackets = _IntegerBrackets(index_masks)
+    units = [
+        (i, j, brackets.intern((((i, j), 1),)), index_masks[i] ^ index_masks[j])
+        for i in params.indices()
+        for j in params.indices()
+    ]
+    table = [[brackets[ux, uy] for (_, _, uy, _) in units] for (_, _, ux, _) in units]
+    elements = brackets.elements
+
+    def matrix_json(entries: tuple) -> dict:
+        return GradedMatrix(params, entries).to_json()
 
     failures: list[CheckFailure] = []
-    table = [
-        [graded_bracket(mx, my) for (_, _, my, _) in units]
-        for (_, _, mx, _) in units
-    ]
-
     pairs_checked = 0
-    for xi, (i1, j1, mx, a) in enumerate(units):
-        for yi, (i2, j2, my, b) in enumerate(units):
+    for x, (i1, j1, _, a) in enumerate(units):
+        for y, (i2, j2, _, b) in enumerate(units):
             pairs_checked += 1
-            bxy = table[xi][yi]
-            byx = table[yi][xi]
-            sym = bxy + byx * RadicalSum(a.sign(b))
-            if not sym.is_zero:
+            bxy = table[x][y]
+            sym = brackets.combine(((bxy, 1), (table[y][x], -1 if _ODD[a & b] else 1)))
+            if sym:
+                failures.append(CheckFailure("symmetry", (i1, j1, i2, j2), matrix_json(sym)))
+            if bxy:
+                comps = brackets.components[bxy]
+                if len(comps) != 1 or comps[0][0] != a ^ b:
+                    failures.append(
+                        CheckFailure("grading", (i1, j1, i2, j2), matrix_json(elements[bxy]))
+                    )
+            st = sum(c if i <= m else -c for (i, j), c in elements[bxy] if i == j)
+            if st:
                 failures.append(
-                    CheckFailure("symmetry", (i1, j1, i2, j2), sym.to_json())
-                )
-            if not bxy.is_zero:
-                try:
-                    grade = bxy.homogeneous_grade()
-                except ValueError:
-                    grade = None
-                if grade != a + b:
-                    failures.append(CheckFailure("grading", (i1, j1, i2, j2), bxy.to_json()))
-            st = bxy.supertrace()
-            if not st.is_zero:
-                failures.append(
-                    CheckFailure("supertrace", (i1, j1, i2, j2), st.to_json())
+                    CheckFailure("supertrace", (i1, j1, i2, j2), RadicalSum(st).to_json())
                 )
 
     triples_checked = 0
-    for xi, (i1, j1, mx, a) in enumerate(units):
-        row_x = table[xi]
-        for yi, (i2, j2, my, b) in enumerate(units):
-            sign = a.sign(b)
-            bxy = row_x[yi]
-            for zi, (i3, j3, mz, c) in enumerate(units):
-                triples_checked += 1
-                res = (
-                    graded_bracket(mx, table[yi][zi])
-                    - graded_bracket(bxy, mz)
-                    - graded_bracket(my, row_x[zi]) * RadicalSum(sign)
-                )
-                if not res.is_zero:
-                    failures.append(
-                        CheckFailure("jacobi", (i1, j1, i2, j2, i3, j3), res.to_json())
-                    )
+    for x, (i1, j1, ux, a) in enumerate(units):
+        row_x = table[x]
+        for y, (i2, j2, uy, b) in enumerate(units):
+            row_y = table[y]
+            bxy = row_x[y]
+            s3 = 1 if _ODD[a & b] else -1
+            for z, (i3, j3, uz, _) in enumerate(units):
+                # [x,[y,z]] - [[x,y],z] - (-1)**(a.b) [y,[x,z]]
+                t1 = brackets[ux, row_y[z]]
+                t2 = brackets[bxy, uz]
+                t3 = brackets[uy, row_x[z]]
+                if t1 or t2 or t3:
+                    res = brackets.combine(((t1, 1), (t2, -1), (t3, s3)))
+                    if res:
+                        failures.append(
+                            CheckFailure("jacobi", (i1, j1, i2, j2, i3, j3), matrix_json(res))
+                        )
+            triples_checked += len(units)
 
     return AxiomReport(params.as_tuple(), pairs_checked, triples_checked, failures)

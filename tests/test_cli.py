@@ -157,3 +157,15 @@ def test_export_rejects_range(capsys):
     code, _, err = run(["export", "--params", "1,0,1,0", "--p", "1..2"], capsys)
     assert code == 2
     assert "single order" in err
+
+
+def test_unwritable_output_is_a_clean_error(tmp_path, capsys):
+    target = tmp_path / "missing" / "x.json"
+    code, out, err = run(
+        ["dim", "--params", "1,0,1,0", "--p", "2", "--output", str(target)], capsys
+    )
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(target) in err
+    assert "Traceback" not in err
+    assert not target.exists()

@@ -1,9 +1,11 @@
 """Degree arithmetic, graded brackets, supertrace and the bracket axioms."""
 
+import itertools
 import random
 
 import pytest
 
+from zzsl import grading
 from zzsl import (
     GRADES,
     AlgebraParams,
@@ -48,6 +50,10 @@ def test_params_validation():
     assert AlgebraParams.from_string("2, 1, 0, 3") == AlgebraParams(2, 1, 0, 3)
     with pytest.raises(ValueError):
         AlgebraParams.from_string("1,2,3")
+    with pytest.raises(ValueError):
+        AlgebraParams(True, 0, 1, 0)
+    with pytest.raises(ValueError):
+        AlgebraParams(1, 0, False, 0)
 
 
 def test_decompose_zero_and_identity():
@@ -170,12 +176,101 @@ def test_symmetry_and_grading_and_supertrace_of_brackets():
 
 
 def test_axiom_report_passes():
-    for P in (AlgebraParams(0, 0, 0, 0), AlgebraParams(1, 0, 1, 0), AlgebraParams(0, 1, 1, 1)):
+    rank_four = [b for b in itertools.product(range(5), repeat=4) if sum(b) == 4]
+    assert len(rank_four) == 35
+    for blocks in [(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 1), *rank_four]:
+        P = AlgebraParams(*blocks)
         report = axiom_report(P)
         n = P.size
         assert report.passed
         assert report.pairs_checked == n**4
         assert report.triples_checked == n**6
+
+
+def _reference_axiom_report(P):
+    """The axiom sweep rebuilt from graded_bracket and jacobi_residual."""
+    units = [
+        (i, j, matrix_unit(i, j, P), P.index_grade(i) + P.index_grade(j))
+        for i in P.indices()
+        for j in P.indices()
+    ]
+    failures = []
+    for i1, j1, x, a in units:
+        for i2, j2, y, b in units:
+            bxy = graded_bracket(x, y)
+            sym = bxy + graded_bracket(y, x) * a.sign(b)
+            if not sym.is_zero:
+                failures.append(
+                    {"identity": "symmetry", "indices": [i1, j1, i2, j2], "residual": sym.to_json()}
+                )
+            if not bxy.is_zero and (
+                not bxy.is_homogeneous or bxy.homogeneous_grade() != a + b
+            ):
+                failures.append(
+                    {"identity": "grading", "indices": [i1, j1, i2, j2], "residual": bxy.to_json()}
+                )
+            st = supertrace(bxy)
+            if not st.is_zero:
+                failures.append(
+                    {"identity": "supertrace", "indices": [i1, j1, i2, j2], "residual": st.to_json()}
+                )
+    for i1, j1, x, _ in units:
+        for i2, j2, y, _ in units:
+            for i3, j3, z, _ in units:
+                res = jacobi_residual(x, y, z)
+                if not res.is_zero:
+                    failures.append({
+                        "identity": "jacobi",
+                        "indices": [i1, j1, i2, j2, i3, j3],
+                        "residual": res.to_json(),
+                    })
+    n = P.size
+    return {
+        "params": list(P.as_tuple()),
+        "pairs_checked": n**4,
+        "triples_checked": n**6,
+        "failures": failures,
+    }
+
+
+@pytest.mark.parametrize("blocks", [(1, 0, 1, 0), (1, 1, 1, 1), (0, 1, 1, 1)])
+def test_integer_brackets_match_graded_bracket(blocks):
+    P = AlgebraParams(*blocks)
+    masks = [grading._mask(P.index_grade(i)) for i in P.indices()]
+    brackets = grading._IntegerBrackets(masks)
+    units = [
+        (brackets.intern((((i, j), 1),)), matrix_unit(i, j, P))
+        for i in P.indices()
+        for j in P.indices()
+    ]
+    for ux, x in units:
+        for uy, y in units:
+            entries = brackets.elements[brackets[ux, uy]]
+            assert GradedMatrix(P, entries) == graded_bracket(x, y)
+
+
+def test_axiom_report_planted_grade_fault_matches_reference(monkeypatch):
+    P = AlgebraParams(1, 1, 1, 1)
+    honest = AlgebraParams.index_grade
+
+    def misgraded(self, i):
+        return Grade(1, 0) if i == 1 else honest(self, i)
+
+    monkeypatch.setattr(AlgebraParams, "index_grade", misgraded)
+    report = axiom_report(P)
+    assert not report.passed
+    assert report.to_json() == _reference_axiom_report(P)
+
+
+def test_axiom_report_planted_sign_fault_matches_reference(monkeypatch):
+    # (-1)**(a.b) with OR in place of the sum mod 2 is no longer a bicharacter,
+    # so Jacobi fails; plant it in both the sweep and graded_bracket.
+    P = AlgebraParams(1, 0, 1, 1)
+    monkeypatch.setattr(grading, "_ODD", (0, 1, 1, 1))
+    monkeypatch.setattr(Grade, "dot", lambda a, b: (a.a1 & b.a1) | (a.a2 & b.a2))
+    report = axiom_report(P)
+    assert any(f.identity == "jacobi" for f in report.failures)
+    assert report.to_json() == _reference_axiom_report(P)
 
 
 def test_matrix_json_row_major_nonzero():
