@@ -29,6 +29,7 @@ from .reports import (
 
 __all__ = [
     "BASIS_KINDS",
+    "MAX_BASIS_DIMENSION",
     "FockState",
     "FockBasis",
     "SparseOperator",
@@ -49,6 +50,10 @@ __all__ = [
 ]
 
 BASIS_KINDS = ("orthonormal", "unnormalized")
+
+# Largest basis ``enumerate_basis`` will build; past it the states alone
+# would not fit in memory, so the request fails before enumerating anything.
+MAX_BASIS_DIMENSION = 10**6
 
 
 def _check_kind(basis_kind: str) -> None:
@@ -196,15 +201,22 @@ def _bits(length: int, cap: int):
             yield combo
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=256)
 def enumerate_basis(params: AlgebraParams, p: int) -> FockBasis:
     """All states with total <= p, sorted by (total, occupation tuple).
 
     The vacuum is always first.  p = 0 is rejected: the representations are
-    labelled by p = 1, 2, ...
+    labelled by p = 1, 2, ...  A module whose closed-form dimension exceeds
+    ``MAX_BASIS_DIMENSION`` is rejected before any state is built.
     """
     if not isinstance(p, int) or p < 1:
         raise ValueError(f"order p must be a positive integer, got {p!r}")
+    expected = closed_form_dimension(params, p)
+    if expected > MAX_BASIS_DIMENSION:
+        raise ValueError(
+            f"Fock module of order {p} for {params.as_tuple()} has dimension {expected}, "
+            f"above the enumeration limit {MAX_BASIS_DIMENSION}"
+        )
     states: list[FockState] = []
     for r in _counts(params.m1, p):
         left = p - sum(r)

@@ -2,8 +2,10 @@
 
 Coefficients q_s are exact rationals and every radicand s is a squarefree
 positive integer, so two values are equal exactly when their term maps are
-identical.  This is the coefficient domain for all matrices built by the
-package; nothing downstream ever touches floating point.
+identical.  A coefficient is stored as an ``int`` when it is integral and as
+a ``Fraction`` only otherwise, so products and sums of integral values never
+build a ``Fraction``.  This is the coefficient domain for all matrices built
+by the package; nothing downstream ever touches floating point.
 """
 
 from __future__ import annotations
@@ -19,6 +21,11 @@ __all__ = ["Rational", "normalize_radical", "RadicalSum"]
 Rational = Union[int, Fraction]
 
 _F0 = Fraction(0)
+
+
+def _canon(q: Rational) -> Rational:
+    """``q`` as an ``int`` when it is integral, else the ``Fraction`` itself."""
+    return q if type(q) is int else (q.numerator if q.denominator == 1 else q)
 
 
 @lru_cache(maxsize=None)
@@ -59,13 +66,15 @@ class RadicalSum:
     def __init__(self, value: Rational = 0) -> None:
         if isinstance(value, float):
             raise TypeError("floats are not exact; pass int or Fraction")
-        coeff = Fraction(value)
-        self._terms: dict[int, Fraction] = {1: coeff} if coeff else {}
+        coeff = value if type(value) is int else _canon(Fraction(value))
+        self._terms: dict[int, Rational] = {1: coeff} if coeff else {}
 
     # ------------------------------------------------------------------ build
 
     @classmethod
-    def _raw(cls, terms: dict[int, Fraction]) -> "RadicalSum":
+    def _raw(cls, terms: dict[int, Rational]) -> "RadicalSum":
+        # ``terms`` must already be canonical: squarefree radicands, nonzero
+        # coefficients, integral ones as ``int``.
         out = cls.__new__(cls)
         out._terms = terms
         return out
@@ -76,15 +85,15 @@ class RadicalSum:
     ) -> "RadicalSum":
         """Build from (radicand, coefficient) pairs, canonicalizing radicands."""
         items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Fraction] = {}
+        acc: dict[int, Rational] = {}
         for radicand, coeff in items:
             outer, sf = normalize_radical(radicand)
             q = Fraction(coeff) * outer
             if sf == 0 or not q:
                 continue
-            new = acc.get(sf, _F0) + q
+            new = acc.get(sf, 0) + q
             if new:
-                acc[sf] = new
+                acc[sf] = _canon(new)
             else:
                 acc.pop(sf, None)
         return cls._raw(acc)
@@ -95,7 +104,7 @@ class RadicalSum:
         outer, sf = normalize_radical(n)
         if sf == 0:
             return cls()
-        return cls._raw({sf: Fraction(outer)})
+        return cls._raw({sf: outer})
 
     @classmethod
     def sqrt_fraction(cls, value: Rational) -> "RadicalSum":
@@ -119,10 +128,10 @@ class RadicalSum:
         if not self._terms:
             return _F0
         if set(self._terms) == {1}:
-            return self._terms[1]
+            return Fraction(self._terms[1])
         raise ValueError(f"{self} is irrational")
 
-    def terms(self) -> dict[int, Fraction]:
+    def terms(self) -> dict[int, Rational]:
         return dict(self._terms)
 
     def __bool__(self) -> bool:
@@ -148,9 +157,9 @@ class RadicalSum:
             return self
         acc = dict(self._terms)
         for s, q in other._terms.items():
-            new = acc.get(s, _F0) + q
+            new = acc.get(s, 0) + q
             if new:
-                acc[s] = new
+                acc[s] = _canon(new)
             else:
                 acc.pop(s, None)
         return RadicalSum._raw(acc)
@@ -173,23 +182,21 @@ class RadicalSum:
         return other + (-self)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, RadicalSum):
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
             if not other:
                 return RadicalSum()
-            q = Fraction(other)
-            return RadicalSum._raw({s: c * q for s, c in self._terms.items()})
-        if not isinstance(other, RadicalSum):
-            return NotImplemented
-        acc: dict[int, Fraction] = {}
+            return RadicalSum._raw({s: _canon(c * other) for s, c in self._terms.items()})
+        acc: dict[int, Rational] = {}
         for s, q in self._terms.items():
             for t, w in other._terms.items():
                 # s, t squarefree: sqrt(s)*sqrt(t) = g*sqrt((s/g)*(t/g)), g = gcd(s, t)
                 g = gcd(s, t)
                 radicand = (s // g) * (t // g)
-                coeff = q * w * g
-                new = acc.get(radicand, _F0) + coeff
+                new = acc.get(radicand, 0) + q * w * g
                 if new:
-                    acc[radicand] = new
+                    acc[radicand] = _canon(new)
                 else:
                     acc.pop(radicand, None)
         return RadicalSum._raw(acc)
@@ -210,7 +217,7 @@ class RadicalSum:
         if len(self._terms) > 1:
             raise ValueError("reciprocal requires a single-term value")
         ((s, q),) = self._terms.items()
-        return RadicalSum._raw({s: Fraction(1) / (q * s)})
+        return RadicalSum._raw({s: _canon(Fraction(1, q * s))})
 
     # ------------------------------------------------------------ comparison
 
@@ -218,7 +225,7 @@ class RadicalSum:
         if isinstance(other, RadicalSum):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            q = Fraction(other)
+            q = _canon(other)
             return self._terms == ({1: q} if q else {})
         return NotImplemented
 

@@ -169,3 +169,22 @@ def test_unwritable_output_is_a_clean_error(tmp_path, capsys):
     assert err.startswith("error: ") and str(target) in err
     assert "Traceback" not in err
     assert not target.exists()
+
+
+def test_oversized_module_is_rejected_before_enumeration(monkeypatch, capsys):
+    from zzsl import fock
+
+    def refuse(*args):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(fock, "_counts", refuse)
+    monkeypatch.setattr(fock, "_bits", refuse)
+    fock.enumerate_basis.cache_clear()
+    params = fock.AlgebraParams(40, 40, 40, 40)
+    expected = fock.closed_form_dimension(params, 30)
+    assert expected > fock.MAX_BASIS_DIMENSION
+    code, out, err = run(["dim", "--params", "40,40,40,40", "--p", "30"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(expected) in err
+    assert "Traceback" not in err

@@ -25,6 +25,7 @@ from zzsl import (
     spanning_rank,
     verify_representation,
 )
+from zzsl.fock import MAX_BASIS_DIMENSION
 
 
 def small_sweep(total_max):
@@ -68,6 +69,16 @@ def test_basis_order_and_uniqueness():
 def test_basis_rejects_p_zero():
     with pytest.raises(ValueError):
         enumerate_basis(AlgebraParams(1, 0, 0, 0), 0)
+
+
+def test_basis_size_guard_and_bounded_cache():
+    params = AlgebraParams(3, 3, 0, 0)  # closed form C(p+6, 6)
+    assert closed_form_dimension(params, 4) == 210 <= MAX_BASIS_DIMENSION
+    assert len(enumerate_basis(params, 4)) == 210
+    assert closed_form_dimension(params, 30) > MAX_BASIS_DIMENSION
+    with pytest.raises(ValueError, match=str(closed_form_dimension(params, 30))):
+        enumerate_basis(params, 30)
+    assert enumerate_basis.cache_info().maxsize == 256
 
 
 def test_state_validation():

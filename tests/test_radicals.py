@@ -83,6 +83,7 @@ def test_reciprocal():
 def test_as_fraction():
     assert RadicalSum(Fraction(5, 3)).as_fraction() == Fraction(5, 3)
     assert RadicalSum().as_fraction() == 0
+    assert type(RadicalSum(2).as_fraction()) is Fraction
     with pytest.raises(ValueError):
         RadicalSum.sqrt(2).as_fraction()
 
@@ -124,12 +125,37 @@ def test_json_round_trip():
     assert RadicalSum().to_json() == []
 
 
+def _coefficient_types(value: RadicalSum) -> set[type]:
+    return {type(q) for q in value.terms().values()}
+
+
+def test_integral_fraction_and_int_agree():
+    pairs = [
+        (RadicalSum(Fraction(4, 2)), RadicalSum(2)),
+        (RadicalSum.from_terms({8: Fraction(3, 3)}), RadicalSum.sqrt(2) * 2),
+        (RadicalSum.sqrt(3) / 2 * 2, RadicalSum.sqrt(3)),
+        (RadicalSum(Fraction(1, 3)).reciprocal(), RadicalSum(3)),
+        (RadicalSum(Fraction(1, 2)) + RadicalSum(Fraction(1, 2)), RadicalSum(1)),
+        (RadicalSum.sqrt_fraction(Fraction(1, 2)) * RadicalSum.sqrt(2), RadicalSum(1)),
+    ]
+    for a, b in pairs:
+        assert a == b
+        assert hash(a) == hash(b)
+        assert a.to_json() == b.to_json()
+        assert str(a) == str(b)
+        assert _coefficient_types(a) == _coefficient_types(b) == {int}
+    assert RadicalSum(Fraction(4, 2)) == Fraction(2) == 2
+    assert hash(RadicalSum(Fraction(4, 2))) == hash(Fraction(2)) == hash(2)
+    assert _coefficient_types(RadicalSum.sqrt(2) / 4) == {Fraction}
+
+
 # -- randomized algebra laws ------------------------------------------------
 
 _squarefree_pool = [1, 2, 3, 5, 6, 7, 10, 11, 13, 15, 21, 30]
 
-_coeffs = st.fractions(
-    min_value=-20, max_value=20, max_denominator=12
+_coeffs = st.one_of(
+    st.integers(min_value=-20, max_value=20),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
 ).filter(lambda q: q != 0)
 
 _radical_sums = st.lists(
@@ -164,3 +190,30 @@ def test_canonical_radicands(x):
     for s, q in x.terms().items():
         assert s >= 1 and _is_squarefree(s)
         assert q != 0
+        # integral coefficients are stored as int, all others as Fraction
+        assert type(q) is (int if q.denominator == 1 else Fraction)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_radical_sums, _radical_sums)
+def test_arithmetic_against_sympy(x, y):
+    sympy = pytest.importorskip("sympy")
+
+    def to_sympy(value):
+        return sum(
+            (sympy.Rational(q.numerator, q.denominator) * sympy.sqrt(s)
+             for s, q in value.terms().items()),
+            sympy.Integer(0),
+        )
+
+    def from_sympy(expr):
+        terms = {}
+        for base, coeff in sympy.expand(expr).as_coefficients_dict().items():
+            if coeff:
+                terms[int(base**2)] = Fraction(int(coeff.p), int(coeff.q))
+        return terms
+
+    for got, expr in ((x + y, to_sympy(x) + to_sympy(y)), (x * y, to_sympy(x) * to_sympy(y))):
+        assert got.terms() == from_sympy(expr)
+        for q in got.terms().values():
+            assert type(q) is (int if q.denominator == 1 else Fraction)
