@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable, Sequence
 
 from .grading import AlgebraParams, Grade, GradedMatrix, graded_bracket
 from .linalg import RationalRowSpace, rational_rank
@@ -22,6 +23,10 @@ __all__ = [
     "generator_matrix",
     "rel2_terms",
     "rel3_terms",
+    "RELATION_TAGS",
+    "sweep_indices",
+    "checks_at",
+    "relation_report",
     "verify_defining_relations",
     "sl_basis",
     "generator_closure_rank",
@@ -129,51 +134,78 @@ def rel3_terms(params: AlgebraParams, i: int, j: int, k: int) -> list[tuple[int,
     return terms
 
 
+def sweep_indices(params: AlgebraParams) -> list[tuple[int, ...]]:
+    """Every pair (i, j), then every triple (i, j, k), of operator indices."""
+    idx = params.operator_indices()
+    return [(i, j) for i in idx for j in idx] + [
+        (i, j, k) for i in idx for j in idx for k in idx
+    ]
+
+
+# Failure tags of a pair check and of a triple check, in recording order.
+RELATION_TAGS = {2: ("rel1+", "rel1-"), 3: ("rel2", "rel3")}
+
+
+def checks_at(indices: Sequence[tuple[int, ...]]) -> int:
+    """Checks counted at these indices: one per pair, two per triple."""
+    return sum(len(idx) - 1 for idx in indices)
+
+
+def relation_report(
+    params: AlgebraParams,
+    label: str,
+    plus: Sequence,
+    minus: Sequence,
+    bracket: Callable,
+    indices: Sequence[tuple[int, ...]],
+) -> RelationReport:
+    """Check the triple relations of one realization at the given indices.
+
+    ``plus[i - 1]`` and ``minus[i - 1]`` realize a_i^+ and a_i^-, and
+    ``bracket`` is the graded bracket of that realization.  A pair (i, j)
+    asks [a_i^+, a_j^+] = 0 (rel1+) and [a_i^-, a_j^-] = 0 (rel1-); a triple
+    (i, j, k) compares [[a_i^+, a_j^-], a_k^+] with ``rel2_terms`` (rel2) and
+    [[a_i^+, a_j^-], a_k^-] with ``rel3_terms`` (rel3).  Failures keep the
+    order of ``indices``.
+    """
+    failures: list[RelationFailure] = []
+    inner: dict = {}
+
+    def record(tag: str, idx: tuple[int, ...], residual) -> None:
+        if not residual.is_zero:
+            failures.append(RelationFailure(tag, idx, residual.to_json()))
+
+    for idx in indices:
+        if len(idx) == 2:
+            i, j = idx
+            for tag, ops in zip(RELATION_TAGS[2], (plus, minus)):
+                record(tag, idx, bracket(ops[i - 1], ops[j - 1]))
+            continue
+        i, j, k = idx
+        bij = inner.get((i, j))
+        if bij is None:
+            bij = inner[i, j] = bracket(plus[i - 1], minus[j - 1])
+        for tag, ops, terms in zip(RELATION_TAGS[3], (plus, minus), (rel2_terms, rel3_terms)):
+            res = bracket(bij, ops[k - 1])
+            for coeff, t in terms(params, i, j, k):  # coefficients are +1 or -1
+                res = res - ops[t - 1] if coeff == 1 else res + ops[t - 1]
+            record(tag, idx, res)
+    return RelationReport(params.as_tuple(), label, checks_at(indices), failures)
+
+
 def verify_defining_relations(params: AlgebraParams) -> RelationReport:
     """Check all triple relations of the generators in the matrix realization.
 
     One pair check per (i, j) covers both signs of the vanishing bracket;
     the two triple families contribute (m+n)**3 checks each.
     """
-    K = params.m + params.n
-    idx = range(1, K + 1)
-    plus = {i: generator_matrix(GeneratorId(i, "+"), params) for i in idx}
-    minus = {i: generator_matrix(GeneratorId(i, "-"), params) for i in idx}
-
-    failures: list[RelationFailure] = []
-    checked = 0
-
-    for i in idx:
-        for j in idx:
-            checked += 1
-            for tag, ops in (("rel1+", plus), ("rel1-", minus)):
-                res = graded_bracket(ops[i], ops[j])
-                if not res.is_zero:
-                    failures.append(RelationFailure(tag, (i, j), res.to_json()))
-
-    pair_bracket = {
-        (i, j): graded_bracket(plus[i], minus[j]) for i in idx for j in idx
-    }
-
-    for i in idx:
-        for j in idx:
-            bij = pair_bracket[(i, j)]
-            for k in idx:
-                checked += 1
-                res = graded_bracket(bij, plus[k])
-                for coeff, t in rel2_terms(params, i, j, k):
-                    res = res - plus[t] * coeff
-                if not res.is_zero:
-                    failures.append(RelationFailure("rel2", (i, j, k), res.to_json()))
-
-                checked += 1
-                res = graded_bracket(bij, minus[k])
-                for coeff, t in rel3_terms(params, i, j, k):
-                    res = res - minus[t] * coeff
-                if not res.is_zero:
-                    failures.append(RelationFailure("rel3", (i, j, k), res.to_json()))
-
-    return RelationReport(params.as_tuple(), "defining-relations", checked, failures)
+    plus, minus = (
+        [generator_matrix(GeneratorId(i, sign), params) for i in params.operator_indices()]
+        for sign in "+-"
+    )
+    return relation_report(
+        params, "defining-relations", plus, minus, graded_bracket, sweep_indices(params)
+    )
 
 
 def sl_basis(params: AlgebraParams) -> list[GradedMatrix]:
@@ -193,12 +225,9 @@ def sl_basis(params: AlgebraParams) -> list[GradedMatrix]:
     return mats
 
 
-def _flatten(matrix: GradedMatrix) -> list[Fraction]:
+def _flatten(matrix: GradedMatrix) -> dict[int, Fraction]:
     n = matrix.params.size
-    vec = [Fraction(0)] * (n * n)
-    for i, j, c in matrix.items():
-        vec[i * n + j] = c.as_fraction()
-    return vec
+    return {i * n + j: c.as_fraction() for i, j, c in matrix.items()}
 
 
 def sl_basis_rank(params: AlgebraParams) -> int:

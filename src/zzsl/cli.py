@@ -117,38 +117,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _suite_json(name: str, checked: int, failures) -> dict:
+    return {"name": name, "checked": checked, "failures": [f.to_json() for f in failures]}
+
+
 def _verify_suites(params: AlgebraParams, p_lo: int, p_hi: int) -> list[dict]:
-    suites: list[dict] = []
-
     axioms = axiom_report(params)
-    suites.append({
-        "name": "axioms",
-        "checked": axioms.pairs_checked + axioms.triples_checked,
-        "failures": [f.to_json() for f in axioms.failures],
-    })
-
     defining = verify_defining_relations(params)
-    suites.append({
-        "name": "defining-relations",
-        "checked": defining.checked,
-        "failures": [f.to_json() for f in defining.failures],
-    })
-
+    suites = [
+        _suite_json("axioms", axioms.pairs_checked + axioms.triples_checked, axioms.failures),
+        _suite_json("defining-relations", defining.checked, defining.failures),
+    ]
     for p in range(p_lo, p_hi + 1):
         rep = verify_representation(params, p)
         for suite in rep.suites:
-            suites.append({
-                "name": f"representation[p={p}].{suite.label}",
-                "checked": suite.checked,
-                "failures": [f.to_json() for f in suite.failures],
-            })
+            suites.append(
+                _suite_json(f"representation[p={p}].{suite.label}", suite.checked, suite.failures)
+            )
         for family in FAMILIES:
-            fam = relation_suite(family, params, p)
-            suites.append({
-                "name": f"statistics[p={p}].{family}",
-                "checked": fam.checked,
-                "failures": [f.to_json() for f in fam.failures],
-            })
+            fam = relation_suite(family, params, p, representation=rep)
+            suites.append(_suite_json(f"statistics[p={p}].{family}", fam.checked, fam.failures))
     return suites
 
 
@@ -180,6 +168,13 @@ def _cmd_verify(ns: argparse.Namespace) -> int:
     return 0 if total_failures == 0 else 1
 
 
+def _single_order(ns: argparse.Namespace) -> int:
+    lo, hi = ns.p
+    if lo != hi:
+        raise ValueError(f"{ns.command} takes a single order, not a range")
+    return lo
+
+
 def _cmd_dim(ns: argparse.Namespace) -> int:
     p_lo, p_hi = ns.p
     rows = []
@@ -205,10 +200,7 @@ def _cmd_dim(ns: argparse.Namespace) -> int:
 
 
 def _cmd_export(ns: argparse.Namespace) -> int:
-    p = ns.p[0]
-    if ns.p[0] != ns.p[1]:
-        print("error: export takes a single order, not a range", file=sys.stderr)
-        return 2
+    p = _single_order(ns)
     params = ns.params
     basis = enumerate_basis(params, p)
     operators = []
@@ -235,18 +227,11 @@ def _cmd_export(ns: argparse.Namespace) -> int:
 
 
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
-    p = ns.p[0]
-    if ns.p[0] != ns.p[1]:
-        print("error: spectrum takes a single order, not a range", file=sys.stderr)
-        return 2
+    p = _single_order(ns)
     params = ns.params
-    try:
-        energies = EnergyAssignment.from_values(ns.eps)
-        energies.check(params)
-        pairs = spectrum(params, p, energies, ns.reading)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    energies = EnergyAssignment.from_values(ns.eps)
+    energies.check(params)
+    pairs = spectrum(params, p, energies, ns.reading)
     ladder = []
     for index in range(1, 2 * params.m + 1):
         for sign in ("+", "-"):
@@ -284,10 +269,7 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
 
 
 def _cmd_occupancy(ns: argparse.Namespace) -> int:
-    p = ns.p[0]
-    if ns.p[0] != ns.p[1]:
-        print("error: occupancy takes a single order, not a range", file=sys.stderr)
-        return 2
+    p = _single_order(ns)
     report = occupancy_report(ns.params, p)
     if ns.format == "json":
         _emit(_json_text(report.to_json()), ns.output)

@@ -15,9 +15,9 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
-from .algebra import GeneratorId, generator_ids, matrix_unit, rel2_terms, rel3_terms
+from .algebra import GeneratorId, generator_ids, matrix_unit, relation_report, sweep_indices
 from .grading import AlgebraParams, Grade
-from .linalg import RationalRowSpace
+from .linalg import RationalRowSpace, SparseMatrix
 from .radicals import RadicalSum
 from .reports import (
     DiscriminationReport,
@@ -398,14 +398,16 @@ def _apply_ft_theta_slot(
     return [(coeff, target)]
 
 
-class SparseOperator:
+class SparseOperator(SparseMatrix):
     """Operator on an ordered Fock basis, stored as (row, col, coeff) triplets.
 
     Carries an optional grade so graded brackets of operators can apply the
     right sign; products and brackets propagate it.
     """
 
-    __slots__ = ("basis", "grade", "_entries", "_row_map", "_col_map")
+    __slots__ = ("basis", "grade", "_col_map")
+    _noun = "operator"
+    _mismatch = "operators act on different bases"
 
     def __init__(
         self,
@@ -413,55 +415,36 @@ class SparseOperator:
         entries,
         grade: Grade | None = None,
     ) -> None:
+        self._place(basis, grade)
+        self._validate(entries, len(basis))
+
+    def _place(self, basis: FockBasis, grade: Grade | None = None) -> None:
         self.basis = basis
         self.grade = grade
-        dim = len(basis)
-        items = entries.items() if hasattr(entries, "items") else entries
-        clean: dict[tuple[int, int], RadicalSum] = {}
-        for (i, j), value in items:
-            if not (0 <= i < dim and 0 <= j < dim):
-                raise ValueError(f"entry ({i},{j}) outside {dim}x{dim} operator")
-            if isinstance(value, (int, Fraction)):
-                value = RadicalSum(value)
-            if not value.is_zero:
-                clean[(i, j)] = value
-        self._entries = clean
-        self._row_map = None
         self._col_map = None
 
-    @classmethod
-    def _raw(cls, basis, entries: dict, grade: Grade | None) -> "SparseOperator":
-        out = cls.__new__(cls)
-        out.basis = basis
-        out.grade = grade
-        out._entries = entries
-        out._row_map = None
-        out._col_map = None
-        return out
+    def _key(self) -> tuple[AlgebraParams, int]:
+        return self.basis.params, self.basis.p
 
-    @classmethod
-    def zero(cls, basis: FockBasis, grade: Grade | None = None) -> "SparseOperator":
-        return cls._raw(basis, {}, grade)
+    def _like(self, entries: dict, other=None, product: bool = False) -> "SparseOperator":
+        grade = self.grade
+        if other is not None:
+            if grade is None or other.grade is None:
+                grade = None
+            elif product:
+                grade = grade + other.grade
+            elif grade != other.grade:
+                grade = None
+        return SparseOperator._raw(entries, self.basis, grade)
+
+    # Bound in this class too, so operator products can be wrapped on their own.
+    __matmul__ = SparseMatrix.__matmul__
 
     # ------------------------------------------------------------ inspection
 
     @property
     def dimension(self) -> int:
         return len(self.basis)
-
-    def entry(self, i: int, j: int) -> RadicalSum:
-        return self._entries.get((i, j), RadicalSum())
-
-    def items(self) -> list[tuple[int, int, RadicalSum]]:
-        return [(i, j, c) for (i, j), c in sorted(self._entries.items())]
-
-    @property
-    def nnz(self) -> int:
-        return len(self._entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._entries
 
     @property
     def is_diagonal(self) -> bool:
@@ -478,89 +461,7 @@ class SparseOperator:
             self._col_map = cols
         return dict(self._col_map.get(j, {}))
 
-    def _rows(self):
-        if self._row_map is None:
-            rows: dict[int, list[tuple[int, RadicalSum]]] = {}
-            for (i, j), c in self._entries.items():
-                rows.setdefault(i, []).append((j, c))
-            self._row_map = rows
-        return self._row_map
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseOperator):
-            return NotImplemented
-        return (
-            self.basis.params == other.basis.params
-            and self.basis.p == other.basis.p
-            and self._entries == other._entries
-        )
-
     # ------------------------------------------------------------ arithmetic
-
-    def _check_same(self, other: "SparseOperator") -> None:
-        if not isinstance(other, SparseOperator):
-            raise TypeError("expected a SparseOperator")
-        if self.basis.params != other.basis.params or self.basis.p != other.basis.p:
-            raise ValueError("operators act on different bases")
-
-    def _merged_grade(self, other: "SparseOperator", combine: str) -> Grade | None:
-        if self.grade is None or other.grade is None:
-            return None
-        if combine == "add":
-            return self.grade if self.grade == other.grade else None
-        return self.grade + other.grade
-
-    def __add__(self, other: "SparseOperator") -> "SparseOperator":
-        self._check_same(other)
-        acc = dict(self._entries)
-        for key, c in other._entries.items():
-            cur = acc.get(key)
-            new = c if cur is None else cur + c
-            if new.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = new
-        return SparseOperator._raw(self.basis, acc, self._merged_grade(other, "add"))
-
-    def __sub__(self, other: "SparseOperator") -> "SparseOperator":
-        return self + (-other)
-
-    def __neg__(self) -> "SparseOperator":
-        return SparseOperator._raw(
-            self.basis, {k: -c for k, c in self._entries.items()}, self.grade
-        )
-
-    def __mul__(self, scalar) -> "SparseOperator":
-        if isinstance(scalar, (int, Fraction)):
-            scalar = RadicalSum(scalar)
-        if not isinstance(scalar, RadicalSum):
-            return NotImplemented
-        if scalar.is_zero:
-            return SparseOperator.zero(self.basis, self.grade)
-        return SparseOperator._raw(
-            self.basis, {k: c * scalar for k, c in self._entries.items()}, self.grade
-        )
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "SparseOperator") -> "SparseOperator":
-        self._check_same(other)
-        acc: dict[tuple[int, int], RadicalSum] = {}
-        rows = other._rows()
-        for (i, k), x in self._entries.items():
-            row = rows.get(k)
-            if not row:
-                continue
-            for j, y in row:
-                key = (i, j)
-                v = x * y
-                cur = acc.get(key)
-                new = v if cur is None else cur + v
-                if new.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = new
-        return SparseOperator._raw(self.basis, acc, self._merged_grade(other, "mul"))
 
     def __pow__(self, exponent: int) -> "SparseOperator":
         if not isinstance(exponent, int) or exponent < 1:
@@ -569,11 +470,6 @@ class SparseOperator:
         for _ in range(exponent - 1):
             out = out @ self
         return out
-
-    def transpose(self) -> "SparseOperator":
-        return SparseOperator._raw(
-            self.basis, {(j, i): c for (i, j), c in self._entries.items()}, self.grade
-        )
 
     def commutator(self, other: "SparseOperator") -> "SparseOperator":
         return self @ other - other @ self
@@ -608,9 +504,7 @@ class SparseOperator:
             "params": list(self.basis.params.as_tuple()),
             "p": self.basis.p,
             "shape": [self.dimension, self.dimension],
-            "entries": [
-                {"row": i, "col": j, "coeff": c.to_json()} for i, j, c in self.items()
-            ],
+            "entries": self._entries_json(),
         }
 
     def __repr__(self) -> str:
@@ -630,7 +524,7 @@ def operator_matrix(
     for col, state in enumerate(basis.states):
         for coeff, target in apply_generator(gid, state, p, basis_kind, ft_variant):
             entries[(basis.index_of(target), col)] = coeff
-    return SparseOperator._raw(basis, entries, gid.grade(params))
+    return SparseOperator._raw(entries, basis, gid.grade(params))
 
 
 @lru_cache(maxsize=256)
@@ -650,54 +544,6 @@ def ladder_operators(
         for i in params.operator_indices()
     )
     return plus, minus
-
-
-def _relations_suite(
-    params: AlgebraParams,
-    p: int,
-    basis_kind: str,
-    ft_variant: FTildeVariant,
-) -> RelationReport:
-    plus, minus = ladder_operators(params, p, basis_kind, ft_variant)
-    K = params.m + params.n
-    failures: list[RelationFailure] = []
-    checked = 0
-
-    for i in range(1, K + 1):
-        for j in range(1, K + 1):
-            checked += 1
-            for tag, ops in (("rel1+", plus), ("rel1-", minus)):
-                res = ops[i - 1].graded_bracket(ops[j - 1])
-                if not res.is_zero:
-                    failures.append(RelationFailure(tag, (i, j), res.to_json()))
-
-    bracket = {
-        (i, j): plus[i - 1].graded_bracket(minus[j - 1])
-        for i in range(1, K + 1)
-        for j in range(1, K + 1)
-    }
-
-    for i in range(1, K + 1):
-        for j in range(1, K + 1):
-            bij = bracket[(i, j)]
-            for k in range(1, K + 1):
-                checked += 1
-                res = bij.graded_bracket(plus[k - 1])
-                for coeff, t in rel2_terms(params, i, j, k):
-                    res = res - plus[t - 1] * coeff
-                if not res.is_zero:
-                    failures.append(RelationFailure("rel2", (i, j, k), res.to_json()))
-
-                checked += 1
-                res = bij.graded_bracket(minus[k - 1])
-                for coeff, t in rel3_terms(params, i, j, k):
-                    res = res - minus[t - 1] * coeff
-                if not res.is_zero:
-                    failures.append(RelationFailure("rel3", (i, j, k), res.to_json()))
-
-    return RelationReport(
-        params.as_tuple(), f"relations-{basis_kind}", checked, failures
-    )
 
 
 def _vacuum_suite(
@@ -744,22 +590,15 @@ def spanning_rank(params: AlgebraParams, p: int) -> tuple[int, int]:
     dim = len(basis)
     plus, _ = ladder_operators(params, p, "unnormalized")
     space = RationalRowSpace(dim)
-
-    def dense(vec: dict[int, RadicalSum]) -> list[Fraction]:
-        out = [Fraction(0)] * dim
-        for idx, c in vec.items():
-            out[idx] = c.as_fraction()
-        return out
-
     start = {0: RadicalSum(1)}
-    space.add(dense(start))
+    space.add({0: 1})
     frontier = [start]
     while frontier:
         fresh = []
         for vec in frontier:
             for op in plus:
                 image = op.apply(vec)
-                if image and space.add(dense(image)):
+                if image and space.add({i: c.as_fraction() for i, c in image.items()}):
                     fresh.append(image)
         frontier = fresh
     return space.rank, dim
@@ -791,7 +630,11 @@ def verify_representation(
     suites: list[RelationReport] = []
     kinds = BASIS_KINDS if ft_variant == FT_CORRECTED else ("orthonormal",)
     for kind in kinds:
-        suites.append(_relations_suite(params, p, kind, ft_variant))
+        plus, minus = ladder_operators(params, p, kind, ft_variant)
+        suites.append(relation_report(
+            params, f"relations-{kind}", plus, minus, SparseOperator.graded_bracket,
+            sweep_indices(params),
+        ))
         suites.append(_vacuum_suite(params, p, kind, ft_variant))
     suites.append(_adjointness_suite(params, p, ft_variant))
     if ft_variant == FT_CORRECTED:

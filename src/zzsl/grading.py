@@ -8,9 +8,9 @@ anticommutators are both special cases of one operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping
 
+from .linalg import SparseMatrix
 from .radicals import Rational, RadicalSum
 from .reports import AxiomReport, CheckFailure
 
@@ -23,7 +23,12 @@ __all__ = [
     "supertrace",
     "jacobi_residual",
     "axiom_report",
+    "MAX_AXIOM_TRIPLES",
 ]
+
+# Largest Jacobi sweep ``axiom_report`` will run, in basis triples (N**6 for
+# N x N matrices, so N <= 21); past it the request fails before any work.
+MAX_AXIOM_TRIPLES = 10**8
 
 
 @dataclass(frozen=True)
@@ -122,60 +127,39 @@ class AlgebraParams:
         return ",".join(str(v) for v in self.as_tuple())
 
 
-def _coerce_coeff(value) -> RadicalSum:
-    if isinstance(value, RadicalSum):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RadicalSum(value)
-    raise TypeError(f"matrix entries must be exact scalars, got {type(value).__name__}")
-
-
-class GradedMatrix:
+class GradedMatrix(SparseMatrix):
     """Square matrix over RadicalSum carrying the block grading of its algebra.
 
     Instances are immutable; only nonzero entries are stored.
     """
 
-    __slots__ = ("params", "_entries", "_row_map", "_comps")
+    __slots__ = ("params", "_comps")
+    _mismatch = "dimension mismatch: matrices live in different algebras"
 
     def __init__(
         self,
         params: AlgebraParams,
         entries: Mapping[tuple[int, int], RadicalSum | Rational] | Iterable = (),
     ) -> None:
+        self._place(params)
+        self._validate(entries, params.size)
+
+    def _place(self, params: AlgebraParams) -> None:
         self.params = params
-        n = params.size
-        items = entries.items() if isinstance(entries, Mapping) else entries
-        clean: dict[tuple[int, int], RadicalSum] = {}
-        for (i, j), value in items:
-            if not (0 <= i < n and 0 <= j < n):
-                raise ValueError(f"entry ({i},{j}) outside {n}x{n} matrix")
-            coeff = _coerce_coeff(value)
-            if not coeff.is_zero:
-                clean[(i, j)] = coeff
-        self._entries = clean
-        self._row_map: dict[int, list[tuple[int, RadicalSum]]] | None = None
-        self._comps: list[tuple[Grade, dict]] | None = None
+        self._comps = None
+
+    def _key(self) -> AlgebraParams:
+        return self.params
+
+    def _like(self, entries: dict, other=None, product: bool = False) -> "GradedMatrix":
+        return GradedMatrix._raw(entries, self.params)
 
     # ------------------------------------------------------------------ build
 
     @classmethod
-    def _raw(cls, params: AlgebraParams, entries: dict) -> "GradedMatrix":
-        out = cls.__new__(cls)
-        out.params = params
-        out._entries = entries
-        out._row_map = None
-        out._comps = None
-        return out
-
-    @classmethod
-    def zero(cls, params: AlgebraParams) -> "GradedMatrix":
-        return cls._raw(params, {})
-
-    @classmethod
     def identity(cls, params: AlgebraParams) -> "GradedMatrix":
         one = RadicalSum(1)
-        return cls._raw(params, {(i, i): one for i in params.indices()})
+        return cls._raw({(i, i): one for i in params.indices()}, params)
 
     @classmethod
     def unit(cls, params: AlgebraParams, i: int, j: int) -> "GradedMatrix":
@@ -183,51 +167,30 @@ class GradedMatrix:
         n = params.size
         if not (0 <= i < n and 0 <= j < n):
             raise ValueError(f"index out of range for size {n}: ({i},{j})")
-        return cls._raw(params, {(i, j): RadicalSum(1)})
+        return cls._raw({(i, j): RadicalSum(1)}, params)
 
     # ------------------------------------------------------------ inspection
-
-    def entry(self, i: int, j: int) -> RadicalSum:
-        return self._entries.get((i, j), RadicalSum())
-
-    def items(self) -> list[tuple[int, int, RadicalSum]]:
-        """Nonzero entries in row-major order."""
-        return [(i, j, c) for (i, j), c in sorted(self._entries.items())]
-
-    @property
-    def nnz(self) -> int:
-        return len(self._entries)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._entries
 
     def entry_grade(self, i: int, j: int) -> Grade:
         return self.params.index_grade(i) + self.params.index_grade(j)
 
-    def _rows(self) -> dict[int, list[tuple[int, RadicalSum]]]:
-        if self._row_map is None:
-            rows: dict[int, list[tuple[int, RadicalSum]]] = {}
-            for (i, j), c in self._entries.items():
-                rows.setdefault(i, []).append((j, c))
-            self._row_map = rows
-        return self._row_map
-
-    def _components(self) -> list[tuple[Grade, dict]]:
-        """Nonzero homogeneous components as (grade, entry-dict) pairs."""
+    def _components(self) -> list[tuple[Grade, "GradedMatrix"]]:
+        """Nonzero homogeneous components as (grade, matrix) pairs, by grade."""
         if self._comps is None:
             buckets: dict[Grade, dict] = {}
             for (i, j), c in self._entries.items():
                 buckets.setdefault(self.entry_grade(i, j), {})[(i, j)] = c
-            self._comps = sorted(buckets.items(), key=lambda kv: kv[0].as_tuple())
+            self._comps = sorted(
+                ((g, self._like(e)) for g, e in buckets.items()),
+                key=lambda kv: kv[0].as_tuple(),
+            )
         return self._comps
 
     def decompose(self) -> dict[Grade, "GradedMatrix"]:
         """Split into the four block-homogeneous components (zeros included)."""
-        parts = {g: {} for g in GRADES}
-        for grade, entries in self._components():
-            parts[grade] = entries
-        return {g: GradedMatrix._raw(self.params, dict(e)) for g, e in parts.items()}
+        parts = {g: GradedMatrix.zero(self.params) for g in GRADES}
+        parts.update(self._components())
+        return parts
 
     @property
     def is_homogeneous(self) -> bool:
@@ -242,69 +205,6 @@ class GradedMatrix:
             raise ValueError("matrix is not homogeneous")
         return comps[0][0]
 
-    # ------------------------------------------------------------ arithmetic
-
-    def _check_same(self, other: "GradedMatrix") -> None:
-        if not isinstance(other, GradedMatrix):
-            raise TypeError("expected a GradedMatrix")
-        if self.params != other.params:
-            raise ValueError("dimension mismatch: matrices live in different algebras")
-
-    def __add__(self, other: "GradedMatrix") -> "GradedMatrix":
-        self._check_same(other)
-        acc = dict(self._entries)
-        for key, c in other._entries.items():
-            cur = acc.get(key)
-            new = c if cur is None else cur + c
-            if new.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = new
-        return GradedMatrix._raw(self.params, acc)
-
-    def __sub__(self, other: "GradedMatrix") -> "GradedMatrix":
-        return self + (-other)
-
-    def __neg__(self) -> "GradedMatrix":
-        return GradedMatrix._raw(self.params, {k: -c for k, c in self._entries.items()})
-
-    def __mul__(self, scalar) -> "GradedMatrix":
-        if isinstance(scalar, (int, Fraction)):
-            scalar = RadicalSum(scalar)
-        if not isinstance(scalar, RadicalSum):
-            return NotImplemented
-        if scalar.is_zero:
-            return GradedMatrix.zero(self.params)
-        return GradedMatrix._raw(
-            self.params, {k: c * scalar for k, c in self._entries.items()}
-        )
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other: "GradedMatrix") -> "GradedMatrix":
-        self._check_same(other)
-        acc: dict[tuple[int, int], RadicalSum] = {}
-        rows = other._rows()
-        for (i, k), x in self._entries.items():
-            row = rows.get(k)
-            if not row:
-                continue
-            for j, y in row:
-                key = (i, j)
-                v = x * y
-                cur = acc.get(key)
-                new = v if cur is None else cur + v
-                if new.is_zero:
-                    acc.pop(key, None)
-                else:
-                    acc[key] = new
-        return GradedMatrix._raw(self.params, acc)
-
-    def transpose(self) -> "GradedMatrix":
-        return GradedMatrix._raw(
-            self.params, {(j, i): c for (i, j), c in self._entries.items()}
-        )
-
     def supertrace(self) -> RadicalSum:
         """Signed trace: +1 on rows 0..m, -1 on rows m+1..m+n."""
         m = self.params.m
@@ -315,57 +215,23 @@ class GradedMatrix:
                 total = total + c if i <= m else total - c
         return total
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GradedMatrix):
-            return NotImplemented
-        return self.params == other.params and self._entries == other._entries
-
     def to_json(self) -> dict:
-        return {
-            "params": list(self.params.as_tuple()),
-            "entries": [
-                {"row": i, "col": j, "coeff": c.to_json()} for i, j, c in self.items()
-            ],
-        }
+        return {"params": list(self.params.as_tuple()), "entries": self._entries_json()}
 
     def __repr__(self) -> str:
         return f"GradedMatrix(params={self.params}, nnz={self.nnz})"
 
 
-def _accumulate_product(acc: dict, a: dict, b: dict, negate: bool) -> None:
-    """acc += (or -=) the product of two entry dicts."""
-    rows: dict[int, list[tuple[int, RadicalSum]]] = {}
-    for (k, j), y in b.items():
-        rows.setdefault(k, []).append((j, y))
-    for (i, k), x in a.items():
-        row = rows.get(k)
-        if not row:
-            continue
-        for j, y in row:
-            key = (i, j)
-            v = x * y
-            if negate:
-                v = -v
-            cur = acc.get(key)
-            new = v if cur is None else cur + v
-            if new.is_zero:
-                acc.pop(key, None)
-            else:
-                acc[key] = new
-
-
 def graded_bracket(x: GradedMatrix, y: GradedMatrix) -> GradedMatrix:
     """Graded bracket, extended bilinearly over the component decomposition."""
-    if x.params != y.params:
-        raise ValueError("dimension mismatch: matrices live in different algebras")
-    acc: dict[tuple[int, int], RadicalSum] = {}
-    ycomps = y._components()
+    x._check_same(y)
+    total = GradedMatrix.zero(x.params)
     for a, xa in x._components():
-        for b, yb in ycomps:
-            _accumulate_product(acc, xa, yb, negate=False)
-            # subtract (-1)**(a.b) * Y_b X_a
-            _accumulate_product(acc, yb, xa, negate=a.dot(b) == 0)
-    return GradedMatrix._raw(x.params, acc)
+        for b, yb in y._components():
+            # xa yb - (-1)**(a.b) yb xa
+            term = xa @ yb + yb @ xa if a.dot(b) else xa @ yb - yb @ xa
+            total = term if total.is_zero else total + term
+    return total
 
 
 def supertrace(matrix: GradedMatrix) -> RadicalSum:
@@ -479,8 +345,15 @@ def axiom_report(params: AlgebraParams) -> AxiomReport:
     and the Jacobi identity on every basis triple.  Every matrix met by the
     sweep has integer entries, so it runs on interned integer matrices
     (``_IntegerBrackets``); failing residuals are rendered as ``GradedMatrix``
-    and ``RadicalSum`` JSON.
+    and ``RadicalSum`` JSON.  An algebra with more than ``MAX_AXIOM_TRIPLES``
+    basis triples is rejected with ``ValueError`` before anything is built.
     """
+    triples = params.size**6
+    if triples > MAX_AXIOM_TRIPLES:
+        raise ValueError(
+            f"axiom sweep for {params.as_tuple()} needs {triples} Jacobi triples, "
+            f"above the limit {MAX_AXIOM_TRIPLES}"
+        )
     m = params.m
     index_masks = [_mask(params.index_grade(i)) for i in params.indices()]
     brackets = _IntegerBrackets(index_masks)

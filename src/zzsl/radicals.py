@@ -147,22 +147,26 @@ class RadicalSum:
             return RadicalSum(value)
         return None
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        if not self._terms:
-            return other
+    def _merge(self, other: "RadicalSum", subtract: bool) -> "RadicalSum":
+        """self + other, or self - other as one signed merge."""
         if not other._terms:
             return self
+        if not self._terms and not subtract:
+            return other
         acc = dict(self._terms)
         for s, q in other._terms.items():
-            new = acc.get(s, 0) + q
+            new = acc.get(s, 0) - q if subtract else acc.get(s, 0) + q
             if new:
                 acc[s] = _canon(new)
             else:
                 acc.pop(s, None)
         return RadicalSum._raw(acc)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is None:
+            return NotImplemented
+        return self._merge(other, False)
 
     __radd__ = __add__
 
@@ -173,13 +177,13 @@ class RadicalSum:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return self._merge(other, True)
 
     def __rsub__(self, other):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        return other._merge(self, True)
 
     def __mul__(self, other):
         if not isinstance(other, RadicalSum):

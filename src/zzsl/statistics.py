@@ -12,7 +12,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
+from .algebra import RELATION_TAGS, checks_at, relation_report
 from .fock import (
+    FT_CORRECTED,
     SparseOperator,
     dimension,
     enumerate_basis,
@@ -20,7 +22,7 @@ from .fock import (
 )
 from .grading import AlgebraParams, Grade
 from .radicals import RadicalSum, Rational
-from .reports import OccupancyReport, RelationFailure, RelationReport
+from .reports import OccupancyReport, RelationFailure, RelationReport, RepresentationReport
 
 __all__ = [
     "FAMILIES",
@@ -66,9 +68,39 @@ class EnergyAssignment:
             )
 
 
-def _zero_residual(report: RelationReport, residual: SparseOperator, tag: str, idx) -> None:
-    if not residual.is_zero:
-        report.failures.append(RelationFailure(tag, tuple(idx), residual.to_json()))
+# Each family is the triple-relation sweep at index blocks (I, J, K) of the
+# ranges below: the pairs (i, j) of I x J and the triples (i, j, k) of
+# I x J x K, in this order.  A pure family lists all its pairs before its
+# triples; a mixed family follows each pair by its triples.
+_FAMILY_BLOCKS = {
+    "A-stat": ("pure", (("b", "b", "b"),)),
+    "A1-f": ("pure", (("f", "f", "f"),)),
+    "A1-ft": ("pure", (("ft", "ft", "ft"),)),
+    "MixA1": ("mixed", (("f", "ft", "odd"), ("ft", "f", "odd"))),
+    "MixA2": ("mixed", (("f", "f", "ft"), ("ft", "ft", "f"))),
+}
+_FAMILY_TAGS = {"rel1+": "pair+", "rel1-": "pair-", "rel2": "triple+", "rel3": "triple-"}
+
+
+def _family_indices(family: str, params: AlgebraParams) -> list[tuple[int, ...]]:
+    """The pairs and triples a family checks, in its check order."""
+    m, n1, n = params.m, params.n1, params.n
+    ranges = {
+        "b": range(1, m + 1),
+        "f": range(m + 1, m + n1 + 1),
+        "ft": range(m + n1 + 1, m + n + 1),
+        "odd": range(m + 1, m + n + 1),
+    }
+    layout, blocks = _FAMILY_BLOCKS[family]
+    pairs, triples = [], []
+    for I, J, K in blocks:
+        for i in ranges[I]:
+            for j in ranges[J]:
+                pairs.append((i, j))
+                triples.append([(i, j, k) for k in ranges[K]])
+    if layout == "mixed":
+        return [idx for pair, after in zip(pairs, triples) for idx in (pair, *after)]
+    return pairs + [idx for after in triples for idx in after]
 
 
 def relation_suite(
@@ -76,122 +108,43 @@ def relation_suite(
     params: AlgebraParams,
     p: int,
     basis_kind: str = "orthonormal",
+    representation: RepresentationReport | None = None,
 ) -> RelationReport:
     """Evaluate one family of (anti)commutator identities on the Fock matrices.
 
-    Empty index ranges give a vacuous pass with zero checks.
+    The family's checks are those of the relation sweep at
+    ``_family_indices``, tagged pair+/pair-/triple+/triple-.  Given the
+    ``verify_representation(params, p)`` report as ``representation``, the
+    failures are read from its ``relations-<basis_kind>`` suite instead of
+    being recomputed.  Empty index ranges give a vacuous pass with zero checks.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    plus, minus = ladder_operators(params, p, basis_kind)
-    m, n1, n = params.m, params.n1, params.n
-    b_range = range(1, m + 1)
-    f_range = range(m + 1, m + n1 + 1)
-    ft_range = range(m + n1 + 1, m + n + 1)
-
-    report = RelationReport(params.as_tuple(), family, 0, [])
-
-    def P(i: int) -> SparseOperator:
-        return plus[i - 1]
-
-    def M(i: int) -> SparseOperator:
-        return minus[i - 1]
-
-    if family == "A-stat":
-        for i in b_range:
-            for j in b_range:
-                report.checked += 1
-                _zero_residual(report, P(i).commutator(P(j)), "pair+", (i, j))
-                _zero_residual(report, M(i).commutator(M(j)), "pair-", (i, j))
-        for i in b_range:
-            for j in b_range:
-                inner = P(i).commutator(M(j))
-                for k in b_range:
-                    report.checked += 1
-                    res = inner.commutator(P(k))
-                    if j == k:
-                        res = res - P(i)
-                    if i == j:
-                        res = res - P(k)
-                    _zero_residual(report, res, "triple+", (i, j, k))
-                    report.checked += 1
-                    res = inner.commutator(M(k))
-                    if i == k:
-                        res = res + M(j)
-                    if i == j:
-                        res = res + M(k)
-                    _zero_residual(report, res, "triple-", (i, j, k))
-        return report
-
-    if family in ("A1-f", "A1-ft"):
-        rng = f_range if family == "A1-f" else ft_range
-        for i in rng:
-            for j in rng:
-                report.checked += 1
-                _zero_residual(report, P(i).anticommutator(P(j)), "pair+", (i, j))
-                _zero_residual(report, M(i).anticommutator(M(j)), "pair-", (i, j))
-        for i in rng:
-            for j in rng:
-                inner = P(i).anticommutator(M(j))
-                for k in rng:
-                    report.checked += 1
-                    res = inner.commutator(P(k))
-                    if j == k:
-                        res = res - P(i)
-                    if i == j:
-                        res = res + P(k)
-                    _zero_residual(report, res, "triple+", (i, j, k))
-                    report.checked += 1
-                    res = inner.commutator(M(k))
-                    if i == k:
-                        res = res + M(j)
-                    if i == j:
-                        res = res - M(k)
-                    _zero_residual(report, res, "triple-", (i, j, k))
-        return report
-
-    if family == "MixA1":
-        both = list(f_range) + list(ft_range)
-        for first, second in ((f_range, ft_range), (ft_range, f_range)):
-            for i in first:
-                for j in second:
-                    report.checked += 1
-                    _zero_residual(report, P(i).commutator(P(j)), "pair+", (i, j))
-                    _zero_residual(report, M(i).commutator(M(j)), "pair-", (i, j))
-                    inner = P(i).commutator(M(j))
-                    for k in both:
-                        report.checked += 1
-                        res = inner.anticommutator(P(k))
-                        if j == k:
-                            res = res - P(i)
-                        _zero_residual(report, res, "triple+", (i, j, k))
-                        report.checked += 1
-                        res = inner.anticommutator(M(k))
-                        if i == k:
-                            res = res - M(j)
-                        _zero_residual(report, res, "triple-", (i, j, k))
-        return report
-
-    # MixA2: both inner indices in one odd family, the outer one in the other
-    for same, other in ((f_range, ft_range), (ft_range, f_range)):
-        for i in same:
-            for j in same:
-                report.checked += 1
-                _zero_residual(report, P(i).anticommutator(P(j)), "pair+", (i, j))
-                _zero_residual(report, M(i).anticommutator(M(j)), "pair-", (i, j))
-                inner = P(i).anticommutator(M(j))
-                for k in other:
-                    report.checked += 1
-                    res = inner.commutator(P(k))
-                    if i == j:
-                        res = res + P(k)
-                    _zero_residual(report, res, "triple+", (i, j, k))
-                    report.checked += 1
-                    res = inner.commutator(M(k))
-                    if i == j:
-                        res = res - M(k)
-                    _zero_residual(report, res, "triple-", (i, j, k))
-    return report
+    indices = _family_indices(family, params)
+    if representation is None:
+        plus, minus = ladder_operators(params, p, basis_kind)
+        failures = relation_report(
+            params, family, plus, minus, SparseOperator.graded_bracket, indices
+        ).failures
+    else:
+        if (representation.params, representation.p, representation.variant) != (
+            params.as_tuple(), p, FT_CORRECTED.label
+        ):
+            raise ValueError("representation report is for other params, order or variant")
+        sweep = representation.suite(f"relations-{basis_kind}")
+        found = {(f.relation, f.indices): f for f in sweep.failures}
+        failures = [
+            found[tag, idx]
+            for idx in indices
+            for tag in RELATION_TAGS[len(idx)]
+            if (tag, idx) in found
+        ]
+    return RelationReport(
+        params.as_tuple(),
+        family,
+        checks_at(indices),
+        [RelationFailure(_FAMILY_TAGS[f.relation], f.indices, f.residual) for f in failures],
+    )
 
 
 def hamiltonian(
@@ -279,28 +232,16 @@ def spectrum(
 def occupancy_report(params: AlgebraParams, p: int) -> OccupancyReport:
     """Per-orbital and global occupation maxima over the order-p basis."""
     basis = enumerate_basis(params, p)
-    max_r = [0] * params.m1
-    max_l = [0] * params.m2
-    max_theta = [0] * params.n1
-    max_lam = [0] * params.n2
-    max_total = 0
-    for state in basis:
-        for pos, occ in enumerate(state.r):
-            max_r[pos] = max(max_r[pos], occ)
-        for pos, occ in enumerate(state.l):
-            max_l[pos] = max(max_l[pos], occ)
-        for pos, occ in enumerate(state.theta):
-            max_theta[pos] = max(max_theta[pos], occ)
-        for pos, occ in enumerate(state.lam):
-            max_lam[pos] = max(max_lam[pos], occ)
-        max_total = max(max_total, state.total)
+    # per orbital, in the order r, l, theta, lambda of FockState.occupations
+    peak = [max(column) for column in zip(*(state.occupations() for state in basis))]
+    m1, m, k = params.m1, params.m, params.m + params.n1
     return OccupancyReport(
         params.as_tuple(),
         p,
         dimension(params, p),
-        max_r,
-        max_l,
-        max_theta,
-        max_lam,
-        max_total,
+        peak[:m1],
+        peak[m1:m],
+        peak[m:k],
+        peak[k:],
+        max(state.total for state in basis),
     )

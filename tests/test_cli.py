@@ -188,3 +188,17 @@ def test_oversized_module_is_rejected_before_enumeration(monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error: ") and str(expected) in err
     assert "Traceback" not in err
+
+
+def test_oversized_algebra_is_rejected_before_the_axiom_sweep(monkeypatch, capsys):
+    from zzsl import grading
+
+    def refuse(*args):
+        raise AssertionError("the axiom sweep was started")
+
+    monkeypatch.setattr(grading, "_IntegerBrackets", refuse)
+    code, out, err = run(["verify", "--params", "40,40,40,40", "--p", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and str(161**6) in err
+    assert "Traceback" not in err

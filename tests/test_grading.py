@@ -273,6 +273,18 @@ def test_axiom_report_planted_sign_fault_matches_reference(monkeypatch):
     assert report.to_json() == _reference_axiom_report(P)
 
 
+def test_axiom_sweep_size_guard(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the axiom sweep was started")
+
+    monkeypatch.setattr(grading, "_IntegerBrackets", refuse)
+    assert 21**6 <= grading.MAX_AXIOM_TRIPLES < 22**6
+    P = AlgebraParams(10, 0, 11, 0)
+    assert P.size == 22
+    with pytest.raises(ValueError, match=f"{22**6} Jacobi triples"):
+        axiom_report(P)
+
+
 def test_matrix_json_row_major_nonzero():
     P = AlgebraParams(1, 0, 1, 0)
     m = matrix_unit(2, 0, P) + matrix_unit(0, 1, P) * 2

@@ -1,4 +1,5 @@
-"""Exact row spaces over the rationals: rank, membership, shape checks."""
+"""Exact row spaces over the rationals (rank, membership, shape checks) and
+the signed merge of the shared sparse-matrix kernel."""
 
 from fractions import Fraction
 
@@ -6,23 +7,33 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zzsl import RationalRowSpace, rational_rank
+from zzsl import (
+    AlgebraParams,
+    GradedMatrix,
+    RadicalSum,
+    RationalRowSpace,
+    graded_bracket,
+    ladder_operators,
+    matrix_unit,
+    rational_rank,
+)
 
 
 def test_rank_of_independent_rows():
-    rows = [[1, 2, 0], [0, 1, 3], [0, 0, Fraction(1, 7)]]
+    rows = [{0: 1, 1: 2}, {1: 1, 2: 3}, {2: Fraction(1, 7)}]
     assert rational_rank(rows, 3) == 3
 
 
 def test_dependent_and_zero_rows_do_not_grow_the_span():
     space = RationalRowSpace(4)
-    assert space.add([1, 0, 2, 0])
-    assert space.add([0, 3, 0, 1])
-    assert not space.add([0, 0, 0, 0])
-    assert not space.add([2, 3, 4, 1])  # 2*first + second
-    assert not space.add([Fraction(1, 2), Fraction(-3, 2), 1, Fraction(-1, 2)])
+    assert space.add({0: 1, 2: 2})
+    assert space.add({1: 3, 3: 1})
+    assert not space.add({})
+    assert not space.add({0: 0, 3: 0})  # explicit zeros are ignored
+    assert not space.add({0: 2, 1: 3, 2: 4, 3: 1})  # 2*first + second
+    assert not space.add({0: Fraction(1, 2), 1: Fraction(-3, 2), 2: 1, 3: Fraction(-1, 2)})
     assert space.rank == 2
-    assert space.add([0, 0, 1, 0])
+    assert space.add({2: 1})
     assert space.rank == 3
 
 
@@ -30,39 +41,71 @@ def test_insertion_order_with_fill_in():
     # reducing the last vector by the first row creates an entry at the
     # pivot of a row inserted later, which must then be eliminated too
     space = RationalRowSpace(3)
-    assert space.add([1, 1, 0])
-    assert space.add([0, 1, 1])
-    assert not space.add([1, 0, -1])
-    assert space.contains([1, 0, -1])
-    assert not space.contains([1, 0, 1])
+    assert space.add({0: 1, 1: 1})
+    assert space.add({1: 1, 2: 1})
+    assert not space.add({0: 1, 2: -1})
+    assert space.contains({0: 1, 2: -1})
+    assert not space.contains({0: 1, 2: 1})
     assert space.rank == 2
 
 
 def test_contains():
     space = RationalRowSpace(3)
-    assert space.contains([0, 0, 0])
-    assert not space.contains([0, 1, 0])
-    space.add([0, Fraction(2, 3), 0])
-    assert space.contains([0, 5, 0])
-    assert not space.contains([1, 5, 0])
+    assert space.contains({})
+    assert not space.contains({1: 1})
+    space.add({1: Fraction(2, 3)})
+    assert space.contains({1: 5})
+    assert not space.contains({0: 1, 1: 5})
     assert space.rank == 1  # contains never inserts
 
 
 def test_empty_width():
     space = RationalRowSpace(0)
-    assert not space.add([])
+    assert not space.add({})
     assert space.rank == 0
     assert rational_rank([], 5) == 0
 
 
 def test_width_mismatch_raises():
+    # a column outside [0, width) is the sparse form of a wrong-length vector
     space = RationalRowSpace(3)
-    with pytest.raises(ValueError, match="expected width 3, got 2"):
-        space.add([1, 2])
-    with pytest.raises(ValueError, match="expected width 3, got 4"):
-        space.contains([1, 2, 3, 4])
+    with pytest.raises(ValueError, match="column 3 outside width 3"):
+        space.add({0: 1, 3: 2})
+    with pytest.raises(ValueError, match="column -1 outside width 3"):
+        space.contains({-1: 1})
+    with pytest.raises(ValueError, match="column 0 outside width 0"):
+        RationalRowSpace(0).add({0: 0})
+    assert space.rank == 0
     with pytest.raises(ValueError):
         RationalRowSpace(-1)
+
+
+def test_subtraction_is_one_signed_merge(monkeypatch):
+    # a - b, commutators and graded brackets never build a negated copy
+    P = AlgebraParams(1, 1, 1, 1)
+    plus, minus = ladder_operators(P, 2)
+
+    def refuse(self):
+        raise AssertionError("RadicalSum.__neg__ was called")
+
+    monkeypatch.setattr(RadicalSum, "__neg__", refuse)
+    for up in plus:
+        for down in minus:
+            expected = up @ down + (down @ up) * -1
+            assert up.commutator(down) == expected
+            assert up.commutator(down).grade == expected.grade
+    a, b = matrix_unit(0, 1, P), matrix_unit(1, 0, P)
+    assert (a * 3) - a == a * 2  # overlapping entries
+    assert a - b == GradedMatrix(P, {(0, 1): 1, (1, 0): -1})  # disjoint entries
+    assert (a - a).is_zero
+    for k in P.operator_indices():
+        d = P.index_grade(k)
+        lhs = graded_bracket(matrix_unit(0, k, P), matrix_unit(k, 0, P))
+        sign = -1 if d.dot(d) == 0 else 1
+        assert lhs == matrix_unit(0, 0, P) + matrix_unit(k, k, P) * sign
+    mixed = a + matrix_unit(3, 0, P)  # grades (0,0) and (1,0)
+    expected = GradedMatrix(P, {(0, 0): 1, (3, 3): 1, (0, 1): 0})
+    assert graded_bracket(mixed, matrix_unit(0, 3, P)) == expected
 
 
 _entries = st.one_of(
@@ -86,9 +129,10 @@ def test_rank_against_sympy(shape_and_rows):
     sympy = pytest.importorskip("sympy")
     cols, rows = shape_and_rows
     expected = sympy.Matrix(rows).rank() if rows else 0
-    assert rational_rank(rows, cols) == expected
+    maps = [dict(enumerate(row)) for row in rows]  # zero entries included
+    assert rational_rank(maps, cols) == expected
     space = RationalRowSpace(cols)
-    for row in rows:
+    for row in maps:
         space.add(row)
-    for row in rows:
+    for row in maps:
         assert space.contains(row)

@@ -6,7 +6,9 @@ import pytest
 
 from zzsl import (
     FAMILIES,
+    FT_CORRECTED,
     AlgebraParams,
+    FTildeVariant,
     EnergyAssignment,
     FockState,
     Grade,
@@ -20,6 +22,7 @@ from zzsl import (
     spectrum,
     verify_representation,
 )
+from zzsl import fock
 
 
 def test_families_pass_when_representation_passes():
@@ -51,6 +54,96 @@ def test_vacuous_suite():
     assert report.passed
     with pytest.raises(ValueError):
         relation_suite("nope", AlgebraParams(1, 1, 1, 1), 1)
+
+
+def _family_order(family, P):
+    """A family's checks as its own loops run them: pure families all pairs
+    then all triples, mixed families each pair followed by its triples."""
+    m, n1, n = P.m, P.n1, P.n
+    b, f, ft, odd = (range(1, m + 1), range(m + 1, m + n1 + 1),
+                     range(m + n1 + 1, m + n + 1), range(m + 1, m + n + 1))
+    pure = {"A-stat": b, "A1-f": f, "A1-ft": ft}
+    if family in pure:
+        r = pure[family]
+        return [(i, j) for i in r for j in r] + [(i, j, k) for i in r for j in r for k in r]
+    blocks = [(f, ft, odd), (ft, f, odd)] if family == "MixA1" else [(f, f, ft), (ft, ft, f)]
+    order = []
+    for first, second, outer in blocks:
+        for i in first:
+            for j in second:
+                order += [(i, j)] + [(i, j, k) for k in outer]
+    return order
+
+
+def _planted(families, sign, factor, min_total):
+    """Scale the rules of the first orbital of each family on states holding
+    at least min_total quanta."""
+    honest = fock.apply_generator
+
+    def planted(gid, state, p, basis_kind="orthonormal", ft_variant=FT_CORRECTED):
+        terms = honest(gid, state, p, basis_kind, ft_variant)
+        P = state.params()
+        if (
+            gid.family(P) in families
+            and (gid.family_position(P), gid.sign) == (0, sign)
+            and state.total >= min_total
+        ):
+            return [(c * factor, target) for c, target in terms]
+        return terms
+
+    return planted
+
+
+@pytest.fixture
+def fresh_operators():
+    ladder_operators.cache_clear()
+    yield
+    ladder_operators.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "fault", [(("bt",), "+", -1, 0), (("ft",), "-", 2, 0), (("f", "ft"), "+", 2, 1)]
+)
+@pytest.mark.parametrize("blocks", [(1, 1, 1, 1), (1, 1, 2, 2)])
+def test_families_are_views_of_the_relation_sweep(monkeypatch, fresh_operators, fault, blocks):
+    monkeypatch.setattr(fock, "apply_generator", _planted(*fault))
+    P, p = AlgebraParams(*blocks), 2
+    rep = verify_representation(P, p)
+    sweep = rep.suite("relations-orthonormal").failures
+    assert sweep, "the planted fault must show in the relation sweep"
+    relabel = {"rel1+": "pair+", "rel1-": "pair-", "rel2": "triple+", "rel3": "triple-"}
+    tag_rank = {"rel1+": 0, "rel1-": 1, "rel2": 0, "rel3": 1}
+    seen = 0
+    for family in FAMILIES:
+        order = {idx: pos for pos, idx in enumerate(_family_order(family, P))}
+        expected = [
+            {**f.to_json(), "relation": relabel[f.relation]}
+            for f in sorted(
+                (f for f in sweep if f.indices in order),
+                key=lambda f: (order[f.indices], tag_rank[f.relation]),
+            )
+        ]
+        standalone = relation_suite(family, P, p)
+        view = relation_suite(family, P, p, representation=rep)
+        assert [f.to_json() for f in standalone.failures] == expected, family
+        assert view.to_json() == standalone.to_json(), family
+        assert standalone.checked == sum(len(idx) - 1 for idx in order)
+        seen += len(expected)
+    assert seen, "some family must see the planted fault"
+
+
+def test_family_view_rejects_a_foreign_report():
+    P = AlgebraParams(1, 0, 1, 1)
+    rep = verify_representation(P, 2)
+    for family in FAMILIES:
+        assert relation_suite(family, P, 2, representation=rep).passed
+    with pytest.raises(ValueError):
+        relation_suite("A-stat", P, 1, representation=rep)
+    with pytest.raises(ValueError):
+        relation_suite("A-stat", AlgebraParams(1, 0, 1, 0), 2, representation=rep)
+    variant = verify_representation(P, 2, ft_variant=FTildeVariant("lambda", "theta"))
+    with pytest.raises(ValueError):
+        relation_suite("MixA1", P, 2, representation=variant)
 
 
 def test_hamiltonian_small_case():
