@@ -10,12 +10,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
-from .algebra import RELATION_TAGS, checks_at, relation_report
+from .algebra import RELATION_TAGS, GeneratorId, checks_at, relation_report
 from .fock import (
     FT_CORRECTED,
     SparseOperator,
+    _check_kind,
     dimension,
     enumerate_basis,
     ladder_operators,
@@ -58,6 +60,8 @@ class EnergyAssignment:
         return len(self.epsilons)
 
     def check(self, params: AlgebraParams) -> None:
+        if not all(isinstance(e, (int, Fraction)) for e in self.epsilons):
+            raise TypeError("energies must be exact rationals")
         if params.m != params.n:
             raise ValueError(
                 f"energy pairing requires m = n, got m={params.m}, n={params.n}"
@@ -120,6 +124,7 @@ def relation_suite(
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
+    _check_kind(basis_kind)
     indices = _family_indices(family, params)
     if representation is None:
         plus, minus = ladder_operators(params, p, basis_kind)
@@ -166,19 +171,27 @@ def hamiltonian(
     if not isinstance(energies, EnergyAssignment):
         energies = EnergyAssignment.from_values(energies)
     energies.check(params)
+    return _build_hamiltonian(params, p, tuple(energies.epsilons), reading)
 
+
+# One spectrum command asks for the same H once for the spectrum and once
+# per ladder check; the arguments reaching here are already validated.
+@lru_cache(maxsize=16)
+def _build_hamiltonian(
+    params: AlgebraParams, p: int, epsilons: tuple[Rational, ...], reading: str
+) -> SparseOperator:
     basis = enumerate_basis(params, p)
     plus, minus = ladder_operators(params, p, "orthonormal")
     total = SparseOperator.zero(basis, Grade(0, 0))
     m = params.m
-    for pos in range(m):
-        eps = energies.epsilons[pos]
+    for pos, eps in enumerate(epsilons):
         if reading == "graded":
             term = plus[pos].graded_bracket(minus[pos]) + plus[pos + m].graded_bracket(
                 minus[pos + m]
             )
         else:
-            term = plus[pos].commutator(minus[pos]) + plus[pos].anticommutator(minus[pos])
+            # [a+, a-] + {a+, a-} = 2 a+ a-
+            term = (plus[pos] @ minus[pos]) * 2
         total = total + term * eps
     return total
 
@@ -196,13 +209,12 @@ def ladder_residual(
     The energy of index i is eps_i for i <= m and eps_(i-m) for the odd
     partners.
     """
-    if sign not in ("+", "-"):
-        raise ValueError("sign must be '+' or '-'")
+    GeneratorId(index, sign)  # rejects a bad sign and a non-integer index
     if not isinstance(energies, EnergyAssignment):
         energies = EnergyAssignment.from_values(energies)
     energies.check(params)
     m = params.m
-    if not 1 <= index <= 2 * m:
+    if index > 2 * m:
         raise ValueError(f"generator index {index} out of range 1..{2 * m}")
     ham = hamiltonian(params, p, energies, reading)
     plus, minus = ladder_operators(params, p, "orthonormal")

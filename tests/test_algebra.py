@@ -37,6 +37,9 @@ def test_generator_matrices():
         generator_matrix(GeneratorId(5, "+"), P)
     with pytest.raises(ValueError):
         GeneratorId(1, "x")
+    for index in (1.0, True, "1"):
+        with pytest.raises(ValueError):
+            GeneratorId(index, "+")
 
 
 def test_generator_families_and_labels():

@@ -1,11 +1,12 @@
-"""The per-layer tracer of the benchmark (perfbench/tracing.py) wraps zzsl
-entry points it names by module and attribute path; a rename or a method
-moved to a base class would break traced runs, so every name must resolve."""
+"""The benchmark (perfbench/) wraps zzsl entry points it names by module and
+attribute path, so every such name must resolve, and it clears the caches it
+finds before each operation, so every cache must be one it can find."""
 
 import sys
 from pathlib import Path
 
 import zzsl.cli  # noqa: F401  (loads every zzsl module the tracer names)
+from zzsl import fock
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 import tracing  # noqa: E402
@@ -22,3 +23,28 @@ def test_every_traced_name_resolves():
             continue
         assert callable(original), f"{module}.{path}"
     assert not unresolved
+
+
+def test_cleared_caches_make_a_command_cold(monkeypatch, tmp_path):
+    honest = fock.SparseOperator.graded_bracket
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return honest(self, other)
+
+    monkeypatch.setattr(fock.SparseOperator, "graded_bracket", counted)
+    argv = [
+        "spectrum", "--params", "1,1,1,1", "--p", "2", "--eps", "1,3/2",
+        "--format", "json", "--output", str(tmp_path / "out.json"),
+    ]
+    counts = []
+    for _ in range(2):
+        for cache in tracing.find_caches().values():
+            cache.cache_clear()
+        calls.clear()
+        assert zzsl.cli.parse_and_run(argv) == 0
+        counts.append(len(calls))
+    # a cache the benchmark cannot see would leave the second run warm
+    assert counts[0] > 0
+    assert counts[1] == counts[0]

@@ -1,9 +1,11 @@
 """Command-line surface: exit codes, report content, determinism."""
 
 import json
+import sys
 
 import pytest
 
+from zzsl import fock
 from zzsl.cli import parse_and_run
 
 
@@ -70,6 +72,33 @@ def test_spectrum_output(capsys):
     )
     data = json.loads(out)
     assert [entry["multiplicity"] for entry in data["spectrum"]] == [1, 2]
+    assert all(entry["residual_zero"] for entry in data["ladder"])
+
+
+def test_spectrum_builds_the_hamiltonian_once(monkeypatch, tmp_path):
+    for name, module in list(sys.modules.items()):
+        if name.startswith("zzsl"):
+            for value in vars(module).values():
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    honest = fock.SparseOperator.graded_bracket
+    calls = []
+
+    def counted(self, other):
+        calls.append(1)
+        return honest(self, other)
+
+    monkeypatch.setattr(fock.SparseOperator, "graded_bracket", counted)
+    argv = [
+        "spectrum", "--params", "1,1,1,1", "--p", "3", "--eps", "1,3/2",
+        "--format", "json", "--output", str(tmp_path / "spectrum.json"),
+    ]
+    assert parse_and_run(argv) == 0
+    # H is the sum of one graded bracket per operator, 2m = 4 in all; it is
+    # not rebuilt for the 4m ladder checks
+    assert len(calls) == 4
+    data = json.loads((tmp_path / "spectrum.json").read_text())
+    assert len(data["ladder"]) == 8
     assert all(entry["residual_zero"] for entry in data["ladder"])
 
 

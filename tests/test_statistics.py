@@ -144,6 +144,13 @@ def test_family_view_rejects_a_foreign_report():
     variant = verify_representation(P, 2, ft_variant=FTildeVariant("lambda", "theta"))
     with pytest.raises(ValueError):
         relation_suite("MixA1", P, 2, representation=variant)
+    Q = AlgebraParams(1, 0, 1, 0)
+    errors = []
+    for view in (None, verify_representation(Q, 1)):
+        with pytest.raises(ValueError) as caught:
+            relation_suite("A-stat", Q, 1, basis_kind="nope", representation=view)
+        errors.append(str(caught.value))
+    assert errors[0] == errors[1]
 
 
 def test_hamiltonian_small_case():
@@ -168,14 +175,38 @@ def test_hamiltonian_eigenvalue_two_states():
 
 
 def test_hamiltonian_validation():
+    P = AlgebraParams(1, 0, 1, 0)
+    H = hamiltonian(P, 1, [1])
+    assert hamiltonian(P, 1, EnergyAssignment([Fraction(1)])) == H  # list field
+    # the calls below reuse the arguments of a built H; validation runs first
     with pytest.raises(ValueError):
         hamiltonian(AlgebraParams(1, 0, 0, 0), 1, [1])  # m != n
     with pytest.raises(ValueError):
-        hamiltonian(AlgebraParams(1, 0, 1, 0), 1, [1, 2])  # wrong length
+        hamiltonian(P, 1, [1, 2])  # wrong length
+    with pytest.raises(ValueError):
+        hamiltonian(P, 1, EnergyAssignment([Fraction(1), Fraction(2)]))
+    with pytest.raises(ValueError):
+        ladder_residual(P, 1, [1, 2], 1)
     with pytest.raises(TypeError):
         EnergyAssignment.from_values([0.5])
+    with pytest.raises(TypeError):
+        hamiltonian(P, 1, EnergyAssignment((1.0,)))
     with pytest.raises(ValueError):
-        hamiltonian(AlgebraParams(1, 0, 1, 0), 1, [1], reading="weird")
+        hamiltonian(P, 1, [1], reading="weird")
+
+
+@pytest.mark.parametrize("blocks", [(1, 0, 1, 0), (1, 1, 1, 1), (2, 0, 2, 0)])
+def test_literal_reading_is_commutator_plus_anticommutator(blocks):
+    P = AlgebraParams(*blocks)
+    eps = [Fraction(k + 1, 2 + k) for k in range(P.m)]
+    for p in (1, 2):
+        plus, minus = ladder_operators(P, p)
+        expected = fock.SparseOperator.zero(enumerate_basis(P, p), Grade(0, 0))
+        for pos, e in enumerate(eps):
+            up, down = plus[pos], minus[pos]
+            expected = expected + (up.commutator(down) + up.anticommutator(down)) * e
+        assert hamiltonian(P, p, eps, "literal") == expected
+        assert not hamiltonian(P, p, eps, "literal").is_zero
 
 
 def test_hamiltonian_diagonal_matches_occupation_sums():
@@ -220,6 +251,9 @@ def test_ladder_residual_validation():
         ladder_residual(P, 1, [1], 3)
     with pytest.raises(ValueError):
         ladder_residual(P, 1, [1], 1, "x")
+    for index in (1.0, True, "1"):
+        with pytest.raises(ValueError):
+            ladder_residual(P, 2, [1], index, "+")
 
 
 def test_spectrum_example():
