@@ -11,7 +11,10 @@ import sys
 from fractions import Fraction
 
 from .algebra import generator_ids, verify_defining_relations
-from .fock import enumerate_basis, closed_form_dimension, dimension, operator_matrix, verify_representation
+from .fock import (
+    _check_order, closed_form_dimension, dimension, enumerate_basis, operator_matrix,
+    verify_representation,
+)
 from .grading import AlgebraParams, axiom_report
 from .statistics import (
     FAMILIES,
@@ -122,6 +125,7 @@ def _suite_json(name: str, checked: int, failures) -> dict:
 
 
 def _verify_suites(params: AlgebraParams, p_lo: int, p_hi: int) -> list[dict]:
+    _check_order(params, p_hi)  # the largest module of the range, before any work
     axioms = axiom_report(params)
     defining = verify_defining_relations(params)
     suites = [
@@ -177,6 +181,7 @@ def _single_order(ns: argparse.Namespace) -> int:
 
 def _cmd_dim(ns: argparse.Namespace) -> int:
     p_lo, p_hi = ns.p
+    _check_order(ns.params, p_hi)
     rows = []
     for p in range(p_lo, p_hi + 1):
         counted = dimension(ns.params, p)

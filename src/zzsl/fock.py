@@ -1,10 +1,11 @@
 """Fock modules of order p: basis enumeration, ladder actions, verification.
 
 A basis state records the occupation of every orbital; the total never
-exceeds the order p.  Ladder operators act through the explicit
-transformation rules of the orthonormal basis, or through their integer
-conjugates on the unnormalized monomial basis, where dropping any state
-pushed past total p realizes the quotient by the invariant subspace.
+exceeds the order p.  Every ladder operator is one occupation-shift rule:
+it moves one orbital's occupation by one, with a square-root weight on the
+orthonormal basis (or its integer conjugate on the unnormalized monomial
+basis) and a fermionic sign.  Dropping any state pushed past total p
+realizes the quotient by the invariant subspace.
 """
 
 from __future__ import annotations
@@ -116,7 +117,13 @@ class FockState:
 
     @classmethod
     def vacuum(cls, params: AlgebraParams) -> "FockState":
-        return cls((0,) * params.m1, (0,) * params.m2, (0,) * params.n1, (0,) * params.n2)
+        return cls.from_occupations(params, (0,) * (params.m + params.n))
+
+    @classmethod
+    def from_occupations(cls, params: AlgebraParams, occ) -> "FockState":
+        """Split a flat occupation sequence, ordered as ``occupations()``."""
+        m1, m, k = params.m1, params.m, params.m + params.n1
+        return cls(tuple(occ[:m1]), tuple(occ[m1:m]), tuple(occ[m:k]), tuple(occ[k:]))
 
     @property
     def total(self) -> int:
@@ -161,13 +168,14 @@ class FockBasis:
         self.params = params
         self.p = p
         self.states = states
-        self._index = {s: pos for pos, s in enumerate(states)}
+        # keyed by occupation tuple, in basis order
+        self._index = {s.occupations(): pos for pos, s in enumerate(states)}
 
     def index_of(self, state: FockState) -> int:
-        try:
-            return self._index[state]
-        except KeyError:
-            raise ValueError(f"state {state} is not in the order-{self.p} basis") from None
+        pos = self._index.get(state.occupations())
+        if pos is None or self.states[pos] != state:
+            raise ValueError(f"state {state} is not in the order-{self.p} basis")
+        return pos
 
     def __len__(self) -> int:
         return len(self.states)
@@ -201,15 +209,10 @@ def _bits(length: int, cap: int):
             yield combo
 
 
-@lru_cache(maxsize=256)
-def enumerate_basis(params: AlgebraParams, p: int) -> FockBasis:
-    """All states with total <= p, sorted by (total, occupation tuple).
-
-    The vacuum is always first.  p = 0 is rejected: the representations are
-    labelled by p = 1, 2, ...  A module whose closed-form dimension exceeds
-    ``MAX_BASIS_DIMENSION`` is rejected before any state is built.
-    """
-    if not isinstance(p, int) or p < 1:
+def _check_order(params: AlgebraParams, p: int) -> None:
+    """Reject an order that is not a positive integer, or whose module's
+    closed-form dimension exceeds ``MAX_BASIS_DIMENSION``."""
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise ValueError(f"order p must be a positive integer, got {p!r}")
     expected = closed_form_dimension(params, p)
     if expected > MAX_BASIS_DIMENSION:
@@ -217,6 +220,18 @@ def enumerate_basis(params: AlgebraParams, p: int) -> FockBasis:
             f"Fock module of order {p} for {params.as_tuple()} has dimension {expected}, "
             f"above the enumeration limit {MAX_BASIS_DIMENSION}"
         )
+
+
+# typed: a bool order must miss the entry cached for the int 1
+@lru_cache(maxsize=256, typed=True)
+def enumerate_basis(params: AlgebraParams, p: int) -> FockBasis:
+    """All states with total <= p, sorted by (total, occupation tuple).
+
+    The vacuum is always first.  p = 0 is rejected: the representations are
+    labelled by p = 1, 2, ...  A module whose closed-form dimension exceeds
+    ``MAX_BASIS_DIMENSION`` is rejected before any state is built.
+    """
+    _check_order(params, p)
     states: list[FockState] = []
     for r in _counts(params.m1, p):
         left = p - sum(r)
@@ -259,18 +274,61 @@ def single_quantum_state(params: AlgebraParams, index: int) -> FockState:
         raise ValueError(f"operator index {index} out of range")
     occ = [0] * (params.m + params.n)
     occ[index - 1] = 1
-    m1, m2, n1 = params.m1, params.m2, params.n1
-    m = params.m
-    return FockState(
-        tuple(occ[:m1]),
-        tuple(occ[m1:m]),
-        tuple(occ[m : m + n1]),
-        tuple(occ[m + n1 :]),
-    )
+    return FockState.from_occupations(params, occ)
 
 
-def _replace(tup: tuple[int, ...], pos: int, value: int) -> tuple[int, ...]:
-    return tup[:pos] + (value,) + tup[pos + 1 :]
+def _ladder_rule(
+    gid: GeneratorId,
+    params: AlgebraParams,
+    p: int,
+    basis_kind: str,
+    ft_variant: FTildeVariant,
+):
+    """Validate one generator and return its action on occupation tuples.
+
+    Every ladder generator reads the occupation of its own orbital (slot
+    ``read``) and shifts slot ``write`` by ``delta``: ``write = read`` and
+    ``delta = +-1``, except that the theta-slot reading of an f-tilde rule
+    writes theta_k with ``delta = +1``, and has no term when theta_k does not
+    exist.  The returned ``act(occ, R)`` gives ``(coefficient, target)`` for
+    the flat occupation tuple ``occ`` of total ``R``, or None.
+    """
+    _check_kind(basis_kind)
+    if basis_kind == "unnormalized" and ft_variant != FT_CORRECTED:
+        raise ValueError("slot variants are defined on the orthonormal basis only")
+    fam = gid.family(params)
+    m1, m, n1 = params.m1, params.m, params.n1
+    read = write = gid.index - 1
+    raising = gid.sign == "+"
+    odd = read >= m
+    if fam == "ft" and (ft_variant.plus_slot if raising else ft_variant.minus_slot) == "theta":
+        k = read - m - n1
+        if k >= n1:
+            return lambda occ, R: None
+        write = m + k
+    delta = 1 if raising or write != read else -1
+    # fermionic sign: the quanta on the l orbitals and on the own family's
+    # orbitals before the read slot
+    own = m if fam == "f" else m + n1
+    orthonormal = basis_kind == "orthonormal"
+
+    def act(occ: tuple[int, ...], R: int):
+        occ_read = occ[read]
+        if raising:
+            weight, room = (1 - occ_read if odd else occ_read + 1), p - R
+        else:
+            weight, room = occ_read, p - R + 1
+        new = occ[write] + delta
+        if not weight or not room or R + delta > p or (write >= m and new > 1):
+            return None
+        sign = -1 if odd and (sum(occ[m1:m]) + sum(occ[own:read])) % 2 else 1
+        if orthonormal:
+            coeff = RadicalSum.sqrt(weight * room) * sign
+        else:
+            coeff = RadicalSum(sign if raising else sign * weight * room)
+        return coeff, occ[:write] + (new,) + occ[write + 1 :]
+
+    return act
 
 
 def apply_generator(
@@ -282,120 +340,28 @@ def apply_generator(
 ) -> list[tuple[RadicalSum, FockState]]:
     """Action of one ladder generator on one basis state.
 
-    Orthonormal kind: raising carries sqrt((occ+1)(p-R)) for the bosonic
-    families and (1-occ)*sign*sqrt(p-R) for the fermionic ones; lowering
-    carries sqrt(occ(p-R+1)) and occ*sign*sqrt(p-R+1).  The sign is set by
-    the quanta the operator passes in the fixed monomial order: (-1)**(sum l)
-    times (-1)**(own-family prefix before the target slot).
-
-    Unnormalized kind: the integer conjugates -- raising coefficient 1 (the
-    state is dropped outright at R = p, realizing the quotient), lowering
-    coefficient occ*(p-R+1), same signs.
+    With ``occ`` the occupation of the operator's orbital and R the total,
+    raising has weight occ+1 (even orbital) or 1-occ (odd orbital) and room
+    p-R; lowering has weight occ and room p-R+1.  The term is dropped when
+    the weight or the room is 0, or when the target breaks the Pauli bounds
+    (odd occupations at most 1, total at most p).  The orthonormal
+    coefficient is sign*sqrt(weight*room); the unnormalized one, the integer
+    conjugate, is sign when raising and sign*weight*room when lowering.  The
+    sign, on the odd orbitals only, is (-1)**(sum l) times (-1)**(own-family
+    prefix before the orbital): the quanta the operator passes in the fixed
+    monomial order.
 
     Returns at most one term; the empty list encodes the zero vector.
     """
-    _check_kind(basis_kind)
     params = state.params()
-    gid.check(params)
+    act = _ladder_rule(gid, params, p, basis_kind, ft_variant)
     R = state.total
     if R > p:
         raise ValueError(f"state with total {R} is inadmissible at order {p}")
-    if basis_kind == "unnormalized" and ft_variant != FT_CORRECTED:
-        raise ValueError("slot variants are defined on the orthonormal basis only")
-
-    fam = gid.family(params)
-    k = gid.family_position(params)
-    raising = gid.sign == "+"
-
-    if fam in ("b", "bt"):
-        occs = state.r if fam == "b" else state.l
-        occ = occs[k]
-        if raising:
-            if R == p:
-                return []
-            if basis_kind == "orthonormal":
-                coeff = RadicalSum.sqrt((occ + 1) * (p - R))
-            else:
-                coeff = RadicalSum(1)
-            new = _replace(occs, k, occ + 1)
-        else:
-            if occ == 0:
-                return []
-            if basis_kind == "orthonormal":
-                coeff = RadicalSum.sqrt(occ * (p - R + 1))
-            else:
-                coeff = RadicalSum(occ * (p - R + 1))
-            new = _replace(occs, k, occ - 1)
-        target = (
-            FockState(new, state.l, state.theta, state.lam)
-            if fam == "b"
-            else FockState(state.r, new, state.theta, state.lam)
-        )
-        return [(coeff, target)]
-
-    # fermionic families: sign from sum(l) plus own-family prefix
-    own_bits = state.theta if fam == "f" else state.lam
-    sign = -1 if (sum(state.l) + sum(own_bits[:k])) % 2 else 1
-
-    slot = "theta" if fam == "f" else (ft_variant.plus_slot if raising else ft_variant.minus_slot)
-
-    if fam == "ft" and slot == "theta":
-        return _apply_ft_theta_slot(state, p, k, raising, sign)
-
-    bits = state.theta if fam == "f" else state.lam
-    occ = bits[k]
-    if raising:
-        if occ == 1 or R == p:
-            return []
-        if basis_kind == "orthonormal":
-            coeff = RadicalSum.sqrt(p - R) * sign
-        else:
-            coeff = RadicalSum(sign)
-        new = _replace(bits, k, 1)
-    else:
-        if occ == 0:
-            return []
-        if basis_kind == "orthonormal":
-            coeff = RadicalSum.sqrt(p - R + 1) * sign
-        else:
-            coeff = RadicalSum(sign * (p - R + 1))
-        new = _replace(bits, k, 0)
-    target = (
-        FockState(state.r, state.l, new, state.lam)
-        if fam == "f"
-        else FockState(state.r, state.l, state.theta, new)
-    )
-    return [(coeff, target)]
-
-
-def _apply_ft_theta_slot(
-    state: FockState, p: int, k: int, raising: bool, sign: int
-) -> list[tuple[RadicalSum, FockState]]:
-    """The theta-slot reading of an f-tilde rule, executed as displayed.
-
-    Coefficients still read the lambda occupations, but the target ket
-    increments theta_k with lambda unchanged.  Targets outside the basis
-    (missing theta slot, doubly occupied bit, or total beyond p) are dropped
-    by the quotient rule.
-    """
-    R = state.total
-    lam_occ = state.lam[k]
-    if raising:
-        if lam_occ == 1 or R == p:
-            return []
-        coeff = RadicalSum.sqrt(p - R) * sign
-    else:
-        if lam_occ == 0:
-            return []
-        coeff = RadicalSum.sqrt(p - R + 1) * sign
-    if k >= len(state.theta):
+    term = act(state.occupations(), R)
+    if term is None:
         return []
-    if state.theta[k] == 1:
-        return []
-    if R + 1 > p:
-        return []
-    target = FockState(state.r, state.l, _replace(state.theta, k, 1), state.lam)
-    return [(coeff, target)]
+    return [(term[0], FockState.from_occupations(params, term[1]))]
 
 
 class SparseOperator(SparseMatrix):
@@ -520,14 +486,17 @@ def operator_matrix(
 ) -> SparseOperator:
     """Matrix of one generator: column j is its action on the j-th basis state."""
     basis = enumerate_basis(params, p)
+    act = _ladder_rule(gid, params, p, basis_kind, ft_variant)
+    index = basis._index
     entries: dict[tuple[int, int], RadicalSum] = {}
-    for col, state in enumerate(basis.states):
-        for coeff, target in apply_generator(gid, state, p, basis_kind, ft_variant):
-            entries[(basis.index_of(target), col)] = coeff
+    for col, occ in enumerate(index):
+        term = act(occ, sum(occ))
+        if term is not None:
+            entries[(index[term[1]], col)] = term[0]
     return SparseOperator._raw(entries, basis, gid.grade(params))
 
 
-@lru_cache(maxsize=256)
+@lru_cache(maxsize=256, typed=True)
 def ladder_operators(
     params: AlgebraParams,
     p: int,

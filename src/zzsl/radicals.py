@@ -13,7 +13,7 @@ from __future__ import annotations
 import decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, sqrt as _float_sqrt
+from math import gcd, isqrt
 from typing import Iterable, Mapping, Union
 
 __all__ = ["Rational", "normalize_radical", "RadicalSum"]
@@ -119,10 +119,6 @@ class RadicalSum:
     @property
     def is_zero(self) -> bool:
         return not self._terms
-
-    @property
-    def is_rational(self) -> bool:
-        return not self._terms or set(self._terms) == {1}
 
     def as_fraction(self) -> Fraction:
         if not self._terms:
@@ -241,9 +237,6 @@ class RadicalSum:
         return hash(tuple(sorted(self._terms.items())))
 
     # ------------------------------------------------------------- rendering
-
-    def __float__(self) -> float:
-        return sum(float(q) * _float_sqrt(s) for s, q in self._terms.items())
 
     def to_float(self, digits: int) -> str:
         """Decimal approximation to ``digits`` significant digits (display only)."""

@@ -16,6 +16,7 @@ from typing import Sequence
 from .algebra import RELATION_TAGS, GeneratorId, checks_at, relation_report
 from .fock import (
     FT_CORRECTED,
+    FockState,
     SparseOperator,
     _check_kind,
     dimension,
@@ -175,8 +176,10 @@ def hamiltonian(
 
 
 # One spectrum command asks for the same H once for the spectrum and once
-# per ladder check; the arguments reaching here are already validated.
-@lru_cache(maxsize=16)
+# per ladder check; the arguments reaching here are already validated.  The
+# order is checked by enumerate_basis, which a bool order reaches because the
+# cache is typed.
+@lru_cache(maxsize=16, typed=True)
 def _build_hamiltonian(
     params: AlgebraParams, p: int, epsilons: tuple[Rational, ...], reading: str
 ) -> SparseOperator:
@@ -244,16 +247,16 @@ def spectrum(
 def occupancy_report(params: AlgebraParams, p: int) -> OccupancyReport:
     """Per-orbital and global occupation maxima over the order-p basis."""
     basis = enumerate_basis(params, p)
-    # per orbital, in the order r, l, theta, lambda of FockState.occupations
-    peak = [max(column) for column in zip(*(state.occupations() for state in basis))]
-    m1, m, k = params.m1, params.m, params.m + params.n1
+    peak = FockState.from_occupations(
+        params, [max(column) for column in zip(*(state.occupations() for state in basis))]
+    )
     return OccupancyReport(
         params.as_tuple(),
         p,
         dimension(params, p),
-        peak[:m1],
-        peak[m1:m],
-        peak[m:k],
-        peak[k:],
+        list(peak.r),
+        list(peak.l),
+        list(peak.theta),
+        list(peak.lam),
         max(state.total for state in basis),
     )

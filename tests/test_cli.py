@@ -219,6 +219,27 @@ def test_oversized_module_is_rejected_before_enumeration(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["dim", "verify"])
+def test_order_range_is_checked_at_its_top_first(monkeypatch, capsys, command):
+    from zzsl import grading
+
+    def refuse(*args):
+        raise AssertionError("work started before the range was checked")
+
+    monkeypatch.setattr(fock, "_counts", refuse)
+    monkeypatch.setattr(fock, "_bits", refuse)
+    monkeypatch.setattr(grading, "_IntegerBrackets", refuse)
+    fock.enumerate_basis.cache_clear()
+    expected = fock.closed_form_dimension(fock.AlgebraParams(1, 1, 1, 1), 2000)
+    code, out, err = run([command, "--params", "1,1,1,1", "--p", "1..2000"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: Fock module of order 2000 for (1, 1, 1, 1) has dimension {expected}, "
+        f"above the enumeration limit {fock.MAX_BASIS_DIMENSION}\n"
+    )
+
+
 def test_oversized_algebra_is_rejected_before_the_axiom_sweep(monkeypatch, capsys):
     from zzsl import grading
 

@@ -1,5 +1,7 @@
 """Fock basis enumeration, ladder actions and representation verification."""
 
+import hashlib
+import json
 from fractions import Fraction
 
 import pytest
@@ -17,6 +19,7 @@ from zzsl import (
     enumerate_basis,
     ft_variant_discrimination,
     ft_variants,
+    generator_ids,
     ladder_operators,
     norm_factor,
     operator_matrix,
@@ -69,6 +72,13 @@ def test_basis_order_and_uniqueness():
 def test_basis_rejects_p_zero():
     with pytest.raises(ValueError):
         enumerate_basis(AlgebraParams(1, 0, 0, 0), 0)
+    # a bool order is rejected even after the int 1 is cached
+    enumerate_basis(AlgebraParams(1, 0, 0, 0), 1)
+    ladder_operators(AlgebraParams(1, 0, 0, 0), 1)
+    with pytest.raises(ValueError):
+        enumerate_basis(AlgebraParams(1, 0, 0, 0), True)
+    with pytest.raises(ValueError):
+        ladder_operators(AlgebraParams(1, 0, 0, 0), True)
 
 
 def test_basis_size_guard_and_bounded_cache():
@@ -309,6 +319,67 @@ def test_single_quantum_state_layout():
     assert single_quantum_state(P, 4) == FockState((0,), (0,), (0,), (1,))
     with pytest.raises(ValueError):
         single_quantum_state(P, 5)
+
+
+# sha256 of the JSON list of operator_matrix(...).to_json() over
+# generator_ids(params), by (blocks, p, basis kind, f-tilde slot variant)
+_LADDER_DIGESTS = {
+    ((1, 1, 1, 1), 1, "unnormalized", "ft+->lambda,ft-->lambda"): "55da5278dac949ffa619861ed47861971dae4f94b0cf81433877a963b0abfcb0",
+    ((1, 1, 1, 1), 1, "orthonormal", "ft+->lambda,ft-->lambda"): "55da5278dac949ffa619861ed47861971dae4f94b0cf81433877a963b0abfcb0",
+    ((1, 1, 1, 1), 1, "orthonormal", "ft+->lambda,ft-->theta"): "4d0705601e6036812d7af63f871e1b14eb20d72a4f23925580e41bee8fec4bf8",
+    ((1, 1, 1, 1), 1, "orthonormal", "ft+->theta,ft-->lambda"): "0660eba665ac7fecb3d289c3464ff910bd71bac34acd6c99aa65d69218bbc57a",
+    ((1, 1, 1, 1), 1, "orthonormal", "ft+->theta,ft-->theta"): "57ebd5453d54c7f5d4b0e55f2a9b3d6cb43233012e91fe746a3b78becd671503",
+    ((1, 1, 1, 1), 2, "unnormalized", "ft+->lambda,ft-->lambda"): "f57c5a1e9f82d2097d2800e9f6ebf7c931a503990bdf5436fe50dc1cc3672fd7",
+    ((1, 1, 1, 1), 2, "orthonormal", "ft+->lambda,ft-->lambda"): "e5e847cdd2fba1af42e3678e2f754be13ebd53ed4ac1034a1e8f417003445c06",
+    ((1, 1, 1, 1), 2, "orthonormal", "ft+->lambda,ft-->theta"): "24a5414eb84b812dc79e7b18ac2855cc0940925f6d493521537b4d2df6f7dd8d",
+    ((1, 1, 1, 1), 2, "orthonormal", "ft+->theta,ft-->lambda"): "5f60ca3ffdf0e60c83489add43190ba6e6a30ea605e1d646ca4bdf276c174ae7",
+    ((1, 1, 1, 1), 2, "orthonormal", "ft+->theta,ft-->theta"): "ccf6bbf8a20715f94225acf36ff3097f60f6559b6436dfe6f5493e98b555c2c9",
+    ((1, 1, 1, 1), 3, "unnormalized", "ft+->lambda,ft-->lambda"): "47789eb48fa45be5122e8888b3e0d8812c22eb381db79cf949b6cde24750f035",
+    ((1, 1, 1, 1), 3, "orthonormal", "ft+->lambda,ft-->lambda"): "03fbde0b6d28808731f19714d53819f091163188b488e9b3d3f72f0791e98944",
+    ((1, 1, 1, 1), 3, "orthonormal", "ft+->lambda,ft-->theta"): "bde6f934f4d4caabc63ccd3aa4ff9fd5db902d5df25ac19caca04d0fdda176df",
+    ((1, 1, 1, 1), 3, "orthonormal", "ft+->theta,ft-->lambda"): "f5f8060b08a5fe639e34ef22840eafa40f4c980337802d0f9ea7279b425e9311",
+    ((1, 1, 1, 1), 3, "orthonormal", "ft+->theta,ft-->theta"): "c10b6a3ee785a57d7c6748eb039698afb6dcefcb2b9c0a82a8efe2e4296489d7",
+    ((2, 0, 1, 1), 1, "unnormalized", "ft+->lambda,ft-->lambda"): "e655d92dce98322b7b2e1bf478862dcd3429f834253b057a88a3555fda7490b1",
+    ((2, 0, 1, 1), 1, "orthonormal", "ft+->lambda,ft-->lambda"): "e655d92dce98322b7b2e1bf478862dcd3429f834253b057a88a3555fda7490b1",
+    ((2, 0, 1, 1), 1, "orthonormal", "ft+->lambda,ft-->theta"): "ca22def42e8adb9d0a923685cea392df121abdcabe14de64de8ff8bcbba1e0c0",
+    ((2, 0, 1, 1), 1, "orthonormal", "ft+->theta,ft-->lambda"): "42ecf06acaf1f10ddf0757a0f53f1ab76de6eed9781cb62002e4fee54d493ec0",
+    ((2, 0, 1, 1), 1, "orthonormal", "ft+->theta,ft-->theta"): "262698980650063eb39b1ee77baa1cdef6ec5035b47eb2d8b66d895d489d1c5c",
+    ((2, 0, 1, 1), 2, "unnormalized", "ft+->lambda,ft-->lambda"): "9ff1e19f99fdeff5b43af45bb7463fb6ec2a393d61f6bfaa93e399bf1d5f0d81",
+    ((2, 0, 1, 1), 2, "orthonormal", "ft+->lambda,ft-->lambda"): "d3e14ceeafaeda5d9349bd3157ef613a6f14879c50b176bc1f2629eb4f0a7539",
+    ((2, 0, 1, 1), 2, "orthonormal", "ft+->lambda,ft-->theta"): "8d794a81f257a8bdf29e27baeac60dac3ab1436f2bffafb848bf80506925a011",
+    ((2, 0, 1, 1), 2, "orthonormal", "ft+->theta,ft-->lambda"): "8277bb3f5d1cef336abf3ee36811813fbc9168953701a50e44d5ccbf1a0cfc1f",
+    ((2, 0, 1, 1), 2, "orthonormal", "ft+->theta,ft-->theta"): "d9cb108a24c56199505520a1376c90c909a6001b441a21ea01ef275196df8442",
+    ((2, 0, 1, 1), 3, "unnormalized", "ft+->lambda,ft-->lambda"): "a0aededd27eaff60a35a8f3a46e81a0d5626ccab01eed8d5849546500c8aa8d0",
+    ((2, 0, 1, 1), 3, "orthonormal", "ft+->lambda,ft-->lambda"): "5bf42cf1207d2e32f45c68d235f11f5d68f31005d4af49dfe2e41066f3445ac3",
+    ((2, 0, 1, 1), 3, "orthonormal", "ft+->lambda,ft-->theta"): "155c9478e9df210c1c5701ee4b8e4cbeca7e9a92b2c37398207a23dae77ac81c",
+    ((2, 0, 1, 1), 3, "orthonormal", "ft+->theta,ft-->lambda"): "938dadeebb9a010e3c6e546766fd8b6e56792949667eced4b6a947b48e9fc3b3",
+    ((2, 0, 1, 1), 3, "orthonormal", "ft+->theta,ft-->theta"): "b860e16f714f745802e58e7a447030d2cd4d9b6404336e51c724af8fd3067ede",
+    ((1, 1, 2, 2), 1, "unnormalized", "ft+->lambda,ft-->lambda"): "4e96cc84ea1495c012495c8c6e747bab79e9f3ddf58702318fee0da7c1eb04cb",
+    ((1, 1, 2, 2), 1, "orthonormal", "ft+->lambda,ft-->lambda"): "4e96cc84ea1495c012495c8c6e747bab79e9f3ddf58702318fee0da7c1eb04cb",
+    ((1, 1, 2, 2), 1, "orthonormal", "ft+->lambda,ft-->theta"): "ce01e90d741c7253e6349d42f7135091df5d8ccf02d915f96acb6e06e71a57ae",
+    ((1, 1, 2, 2), 1, "orthonormal", "ft+->theta,ft-->lambda"): "47a1eabb3481ee7c2ae98a2017a5f8e89472a8525c7ce28cc9ca15ab0af70234",
+    ((1, 1, 2, 2), 1, "orthonormal", "ft+->theta,ft-->theta"): "639565320635e3b347e790bbb2205ecaa1f86a16e0b8f1b884bbf82440609a57",
+    ((1, 1, 2, 2), 2, "unnormalized", "ft+->lambda,ft-->lambda"): "06b282ddf0f26fe2dac7b5760af32cd07b331ee665042c64f731f6b8a3487814",
+    ((1, 1, 2, 2), 2, "orthonormal", "ft+->lambda,ft-->lambda"): "1812692c4112ba75e9e72431c0fb82a33787a9ec27e414a031aa78efd3595097",
+    ((1, 1, 2, 2), 2, "orthonormal", "ft+->lambda,ft-->theta"): "7a3fb05a880e43e10832d4de764019771f216d21a64a9ee9fe1a60fcf1947312",
+    ((1, 1, 2, 2), 2, "orthonormal", "ft+->theta,ft-->lambda"): "67d3e69ddea7ab9b3d65cf3062d1c7012cdba9286588bdf7da1b819a371f4823",
+    ((1, 1, 2, 2), 2, "orthonormal", "ft+->theta,ft-->theta"): "aff1ba87680fa90a0c945e6a9f583ad769b65167af04689543a22d1e5ec91ce0",
+    ((1, 1, 2, 2), 3, "unnormalized", "ft+->lambda,ft-->lambda"): "74f3133a0343b00a0951f01ab77c08238afee2cbf1fd6da69110c09282fabcf0",
+    ((1, 1, 2, 2), 3, "orthonormal", "ft+->lambda,ft-->lambda"): "49c6ffeea9c74dd5ba92ff0aba44f6a9c337a4ac94ac6a0799aee155c73740a6",
+    ((1, 1, 2, 2), 3, "orthonormal", "ft+->lambda,ft-->theta"): "8ecf3065f02ca4f87deec2f75a22ad5188c09257b9e18f29fe09747c20fe799a",
+    ((1, 1, 2, 2), 3, "orthonormal", "ft+->theta,ft-->lambda"): "d8d31601a7af31f29e600c0822ea3e3e2dd7022c61023a070b08729aa592c8e9",
+    ((1, 1, 2, 2), 3, "orthonormal", "ft+->theta,ft-->theta"): "c8cdf2ceb77ffceebc269bb2d12593c1188176c26cdf954d47d24043cb59e47e",
+}
+
+
+def test_ladder_matrices_are_pinned():
+    for (blocks, p, kind, label), digest in _LADDER_DIGESTS.items():
+        P = AlgebraParams(*blocks)
+        (variant,) = [v for v in ft_variants() if v.label == label]
+        payload = [operator_matrix(g, P, p, kind, variant).to_json() for g in generator_ids(P)]
+        got = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+        assert got == digest, (blocks, p, kind, label)
+    assert len(_LADDER_DIGESTS) == 3 * 3 * 5
 
 
 def test_operator_json_format():

@@ -76,20 +76,20 @@ def _family_order(family, P):
 
 
 def _planted(families, sign, factor, min_total):
-    """Scale the rules of the first orbital of each family on states holding
-    at least min_total quanta."""
-    honest = fock.apply_generator
+    """Scale the matrix of the first orbital of each family in the columns of
+    states holding at least min_total quanta."""
+    honest = fock.operator_matrix
 
-    def planted(gid, state, p, basis_kind="orthonormal", ft_variant=FT_CORRECTED):
-        terms = honest(gid, state, p, basis_kind, ft_variant)
-        P = state.params()
-        if (
-            gid.family(P) in families
-            and (gid.family_position(P), gid.sign) == (0, sign)
-            and state.total >= min_total
-        ):
-            return [(c * factor, target) for c, target in terms]
-        return terms
+    def planted(gid, params, p, basis_kind="orthonormal", ft_variant=FT_CORRECTED):
+        op = honest(gid, params, p, basis_kind, ft_variant)
+        if gid.family(params) not in families or (gid.family_position(params), gid.sign) != (0, sign):
+            return op
+        states = op.basis.states
+        entries = {
+            (row, col): coeff * factor if states[col].total >= min_total else coeff
+            for row, col, coeff in op.items()
+        }
+        return fock.SparseOperator(op.basis, entries, op.grade)
 
     return planted
 
@@ -106,7 +106,7 @@ def fresh_operators():
 )
 @pytest.mark.parametrize("blocks", [(1, 1, 1, 1), (1, 1, 2, 2)])
 def test_families_are_views_of_the_relation_sweep(monkeypatch, fresh_operators, fault, blocks):
-    monkeypatch.setattr(fock, "apply_generator", _planted(*fault))
+    monkeypatch.setattr(fock, "operator_matrix", _planted(*fault))
     P, p = AlgebraParams(*blocks), 2
     rep = verify_representation(P, p)
     sweep = rep.suite("relations-orthonormal").failures
@@ -193,6 +193,8 @@ def test_hamiltonian_validation():
         hamiltonian(P, 1, EnergyAssignment((1.0,)))
     with pytest.raises(ValueError):
         hamiltonian(P, 1, [1], reading="weird")
+    with pytest.raises(ValueError):
+        hamiltonian(P, True, [1])  # a bool order
 
 
 @pytest.mark.parametrize("blocks", [(1, 0, 1, 0), (1, 1, 1, 1), (2, 0, 2, 0)])
