@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Sequence
 
-from .grading import AlgebraParams, Grade, GradedMatrix, graded_bracket
+from .grading import GRADES, AlgebraParams, Grade, GradedMatrix, graded_bracket
 from .linalg import RationalRowSpace, rational_rank
 from .reports import RelationFailure, RelationReport
 
@@ -32,6 +32,7 @@ __all__ = [
     "generator_closure_rank",
 ]
 
+# in the order of grading.GRADES
 FAMILY_NAMES = ("b", "bt", "f", "ft")
 
 
@@ -55,16 +56,8 @@ class GeneratorId:
             )
 
     def family(self, params: AlgebraParams) -> str:
-        """Family letter: b, bt (even) or f, ft (odd), from the index block."""
-        self.check(params)
-        i = self.index
-        if i <= params.m1:
-            return "b"
-        if i <= params.m:
-            return "bt"
-        if i <= params.m + params.n1:
-            return "f"
-        return "ft"
+        """Family letter: b, bt (even) or f, ft (odd), from the generator's grade."""
+        return FAMILY_NAMES[GRADES.index(self.grade(params))]
 
     def family_position(self, params: AlgebraParams) -> int:
         """0-based position within the generator's family."""

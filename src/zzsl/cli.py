@@ -235,7 +235,6 @@ def _cmd_spectrum(ns: argparse.Namespace) -> int:
     p = _single_order(ns)
     params = ns.params
     energies = EnergyAssignment.from_values(ns.eps)
-    energies.check(params)
     pairs = spectrum(params, p, energies, ns.reading)
     ladder = []
     for index in range(1, 2 * params.m + 1):

@@ -109,10 +109,10 @@ class FockState:
 
     def __post_init__(self) -> None:
         for occ in self.r + self.l:
-            if not isinstance(occ, int) or occ < 0:
+            if type(occ) is not int or occ < 0:  # a bool is not an occupation
                 raise ValueError(f"bosonic occupations must be nonnegative integers, got {occ!r}")
         for bit in self.theta + self.lam:
-            if bit not in (0, 1):
+            if type(bit) is not int or bit not in (0, 1):
                 raise ValueError(f"fermionic occupations must be bits, got {bit!r}")
 
     @classmethod
@@ -212,8 +212,6 @@ def _bits(length: int, cap: int):
 def _check_order(params: AlgebraParams, p: int) -> None:
     """Reject an order that is not a positive integer, or whose module's
     closed-form dimension exceeds ``MAX_BASIS_DIMENSION``."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise ValueError(f"order p must be a positive integer, got {p!r}")
     expected = closed_form_dimension(params, p)
     if expected > MAX_BASIS_DIMENSION:
         raise ValueError(
@@ -253,7 +251,7 @@ def dimension(params: AlgebraParams, p: int) -> int:
 def closed_form_dimension(params: AlgebraParams, p: int) -> int:
     """Independent count: choose k of the n fermionic orbitals, then weakly
     compose at most p-k bosonic quanta into m slots."""
-    if p < 1:
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
         raise ValueError(f"order p must be a positive integer, got {p!r}")
     m, n = params.m, params.n
     return sum(comb(n, k) * comb(p - k + m, m) for k in range(min(n, p) + 1))
@@ -368,10 +366,11 @@ class SparseOperator(SparseMatrix):
     """Operator on an ordered Fock basis, stored as (row, col, coeff) triplets.
 
     Carries an optional grade so graded brackets of operators can apply the
-    right sign; products and brackets propagate it.
+    right sign; products and brackets propagate it.  A state vector is an
+    operator whose entries all lie in column 0.
     """
 
-    __slots__ = ("basis", "grade", "_col_map")
+    __slots__ = ("basis", "grade")
     _noun = "operator"
     _mismatch = "operators act on different bases"
 
@@ -387,7 +386,6 @@ class SparseOperator(SparseMatrix):
     def _place(self, basis: FockBasis, grade: Grade | None = None) -> None:
         self.basis = basis
         self.grade = grade
-        self._col_map = None
 
     def _key(self) -> tuple[AlgebraParams, int]:
         return self.basis.params, self.basis.p
@@ -419,14 +417,6 @@ class SparseOperator(SparseMatrix):
     def diagonal(self) -> list[RadicalSum]:
         return [self.entry(i, i) for i in range(self.dimension)]
 
-    def column(self, j: int) -> dict[int, RadicalSum]:
-        if self._col_map is None:
-            cols: dict[int, dict[int, RadicalSum]] = {}
-            for (i, jj), c in self._entries.items():
-                cols.setdefault(jj, {})[i] = c
-            self._col_map = cols
-        return dict(self._col_map.get(j, {}))
-
     # ------------------------------------------------------------ arithmetic
 
     def __pow__(self, exponent: int) -> "SparseOperator":
@@ -451,19 +441,6 @@ class SparseOperator(SparseMatrix):
         if self.grade.dot(other.grade):
             return self.anticommutator(other)
         return self.commutator(other)
-
-    def apply(self, vector: dict[int, RadicalSum]) -> dict[int, RadicalSum]:
-        """Image of a sparse coefficient vector (index -> coefficient)."""
-        out: dict[int, RadicalSum] = {}
-        for j, v in vector.items():
-            for i, c in self.column(j).items():
-                cur = out.get(i)
-                new = c * v if cur is None else cur + c * v
-                if new.is_zero:
-                    out.pop(i, None)
-                else:
-                    out[i] = new
-        return out
 
     def to_json(self) -> dict:
         return {
@@ -521,18 +498,23 @@ def _vacuum_suite(
     basis_kind: str,
     ft_variant: FTildeVariant,
 ) -> RelationReport:
+    """[a_i^-, a_j^+]|0> = p delta_ij |0>, with the bracket applied to the
+    vacuum vector: a_i^-(a_j^+|0>) -/+ a_j^+(a_i^-|0>), the sign as in
+    ``graded_bracket``."""
+    vac = SparseOperator(enumerate_basis(params, p), {(0, 0): 1})
     plus, minus = ladder_operators(params, p, basis_kind, ft_variant)
-    K = params.m + params.n
+    up = [op @ vac for op in plus]
+    down = [op @ vac for op in minus]
     failures: list[RelationFailure] = []
     checked = 0
-    for i in range(1, K + 1):
-        for j in range(1, K + 1):
+    for i in range(len(minus)):
+        for j in range(len(plus)):
             checked += 1
-            col = minus[i - 1].graded_bracket(plus[j - 1]).column(0)
-            expected = {0: RadicalSum(p)} if i == j else {}
-            if col != expected:
-                residual = {str(row): c.to_json() for row, c in sorted(col.items())}
-                failures.append(RelationFailure("vacuum", (i, j), residual))
+            there, back = minus[i] @ up[j], plus[j] @ down[i]
+            image = there + back if minus[i].grade.dot(plus[j].grade) else there - back
+            if image != (vac * p if i == j else vac * 0):
+                residual = {str(row): c.to_json() for row, _, c in image.items()}
+                failures.append(RelationFailure("vacuum", (i + 1, j + 1), residual))
     return RelationReport(params.as_tuple(), f"vacuum-{basis_kind}", checked, failures)
 
 
@@ -559,15 +541,14 @@ def spanning_rank(params: AlgebraParams, p: int) -> tuple[int, int]:
     dim = len(basis)
     plus, _ = ladder_operators(params, p, "unnormalized")
     space = RationalRowSpace(dim)
-    start = {0: RadicalSum(1)}
     space.add({0: 1})
-    frontier = [start]
+    frontier = [SparseOperator(basis, {(0, 0): 1})]
     while frontier:
         fresh = []
         for vec in frontier:
             for op in plus:
-                image = op.apply(vec)
-                if image and space.add({i: c.as_fraction() for i, c in image.items()}):
+                image = op @ vec
+                if image.nnz and space.add({i: c.as_fraction() for i, _, c in image.items()}):
                     fresh.append(image)
         frontier = fresh
     return space.rank, dim

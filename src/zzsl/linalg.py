@@ -9,18 +9,11 @@ from typing import Iterable, Mapping
 from .radicals import RadicalSum
 
 
-def _coerce(value) -> RadicalSum:
-    if isinstance(value, RadicalSum):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return RadicalSum(value)
-    raise TypeError(f"matrix entries must be exact scalars, got {type(value).__name__}")
-
-
 class SparseMatrix:
     """Square matrix over RadicalSum, stored as its nonzero entries.
 
-    ``_entries`` maps ``(row, col)`` to a nonzero coefficient.  A subclass
+    ``_entries`` maps ``(row, col)`` to a nonzero coefficient.  A vector is a
+    matrix whose entries all lie in column 0.  A subclass
     fixes the space the matrix acts on: ``_place(*space)`` stores it,
     ``_key()`` says which operands may be combined, and
     ``_like(entries, other=None, product=False)`` wraps a result in the same
@@ -29,7 +22,7 @@ class SparseMatrix:
     Instances are immutable.
     """
 
-    __slots__ = ("_entries", "_row_map")
+    __slots__ = ("_entries", "_col_map")
     _noun = "matrix"
     _mismatch = "matrices live in different spaces"
 
@@ -41,18 +34,20 @@ class SparseMatrix:
         for (i, j), value in items:
             if not (0 <= i < size and 0 <= j < size):
                 raise ValueError(f"entry ({i},{j}) outside {size}x{size} {self._noun}")
-            coeff = _coerce(value)
+            coeff = RadicalSum._coerce(value)
+            if coeff is None:
+                raise TypeError(f"matrix entries must be exact scalars, got {type(value).__name__}")
             if not coeff.is_zero:
                 clean[(i, j)] = coeff
         self._entries = clean
-        self._row_map = None
+        self._col_map = None
 
     @classmethod
     def _raw(cls, entries: dict, *space):
         """Wrap a clean entry dict (no zeros, indices in range) without copying."""
         out = cls.__new__(cls)
         out._entries = entries
-        out._row_map = None
+        out._col_map = None
         out._place(*space)
         return out
 
@@ -77,13 +72,13 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self._entries
 
-    def _rows(self) -> dict[int, list[tuple[int, RadicalSum]]]:
-        if self._row_map is None:
-            rows: dict[int, list[tuple[int, RadicalSum]]] = {}
+    def _cols(self) -> dict[int, list[tuple[int, RadicalSum]]]:
+        if self._col_map is None:
+            cols: dict[int, list[tuple[int, RadicalSum]]] = {}
             for (i, j), c in self._entries.items():
-                rows.setdefault(i, []).append((j, c))
-            self._row_map = rows
-        return self._row_map
+                cols.setdefault(j, []).append((i, c))
+            self._col_map = cols
+        return self._col_map
 
     def _entries_json(self) -> list[dict]:
         return [{"row": i, "col": j, "coeff": c.to_json()} for i, j, c in self.items()]
@@ -128,9 +123,8 @@ class SparseMatrix:
         return self._like({k: -c for k, c in self._entries.items()})
 
     def __mul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            scalar = RadicalSum(scalar)
-        if not isinstance(scalar, RadicalSum):
+        scalar = RadicalSum._coerce(scalar)
+        if scalar is None:
             return NotImplemented
         if scalar.is_zero:
             return self._like({})
@@ -139,14 +133,17 @@ class SparseMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
+        """Product, walking the right operand's entries against the left
+        operand's cached columns, so ``A @ v`` for a vector ``v`` touches
+        only the columns of ``A`` that ``v`` selects."""
         self._check_same(other)
         acc: dict[tuple[int, int], RadicalSum] = {}
-        rows = other._rows()
-        for (i, k), x in self._entries.items():
-            row = rows.get(k)
-            if not row:
+        cols = self._cols()
+        for (k, j), y in other._entries.items():
+            col = cols.get(k)
+            if not col:
                 continue
-            for j, y in row:
+            for i, x in col:
                 key = (i, j)
                 v = x * y
                 cur = acc.get(key)

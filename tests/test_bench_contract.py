@@ -1,14 +1,20 @@
 """The benchmark (perfbench/) wraps zzsl entry points it names by module and
 attribute path, so every such name must resolve, and it clears the caches it
-finds before each operation, so every cache must be one it can find."""
+finds before each operation, so every cache must be one it can find.  Its
+f-tilde discrimination operations must also match their recorded digests,
+which pin the failure records of the theta-slot variants."""
 
+import json
 import sys
 from pathlib import Path
 
 import zzsl.cli  # noqa: F401  (loads every zzsl module the tracer names)
 from zzsl import fock
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+import grids  # noqa: E402
+import operations  # noqa: E402
 import tracing  # noqa: E402
 
 
@@ -48,3 +54,15 @@ def test_cleared_caches_make_a_command_cold(monkeypatch, tmp_path):
     # a cache the benchmark cannot see would leave the second run warm
     assert counts[0] > 0
     assert counts[1] == counts[0]
+
+
+def test_discrimination_operations_match_the_benchmark_digests(tmp_path):
+    expected = json.loads((PERFBENCH / "expected.json").read_text())
+    keys = frozenset(expected["keys"])
+    ops = [op for op in grids.grid("fock-deep") if op[0] == "discrimination"]
+    assert len(ops) == 4
+    for op in ops:
+        outcome = operations.execute(op, tmp_path / "out")
+        name = grids.op_key(op)
+        _, problems = operations.check(op, outcome, expected["digests"][name], keys)
+        assert not problems, (name, problems)

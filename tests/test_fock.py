@@ -28,7 +28,8 @@ from zzsl import (
     spanning_rank,
     verify_representation,
 )
-from zzsl.fock import MAX_BASIS_DIMENSION
+from zzsl import fock
+from zzsl.fock import BASIS_KINDS, MAX_BASIS_DIMENSION
 
 
 def small_sweep(total_max):
@@ -96,6 +97,9 @@ def test_state_validation():
         FockState((-1,), (), (), ())
     with pytest.raises(ValueError):
         FockState((), (), (2,), ())
+    for bad in [((True,), (), (0,), ()), ((0,), (), (False,), ()), ((0,), (), (1.0,), ())]:
+        with pytest.raises(ValueError):
+            FockState(*bad)
 
 
 def test_dimension_closed_form():
@@ -105,6 +109,9 @@ def test_dimension_closed_form():
         for p in (1, 2, 3):
             assert dimension(P, p) == closed_form_dimension(P, p)
         assert dimension(P, 1) == P.m + P.n + 1
+    for bad in (0, True, 1.5):
+        with pytest.raises(ValueError):
+            closed_form_dimension(AlgebraParams(1, 0, 1, 0), bad)
 
 
 def test_basis_json_uses_lambda_key():
@@ -380,6 +387,74 @@ def test_ladder_matrices_are_pinned():
         got = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
         assert got == digest, (blocks, p, kind, label)
     assert len(_LADDER_DIGESTS) == 3 * 3 * 5
+
+
+# sha256 of the JSON of the vacuum-orthonormal suite of a theta-slot variant,
+# by (blocks, p, f-tilde slot variant)
+_THETA_VACUUM_DIGESTS = {
+    ((1, 1, 1, 1), 2, "ft+->lambda,ft-->theta"): "d3e14c381254affc8460032ab318869dd4e4215088102deb43528905de02a6c7",
+    ((1, 1, 1, 1), 2, "ft+->theta,ft-->lambda"): "d4de09181e4aa64fcfd5c80ca3005cead29b52bcce41ba73726e3309b8c9e5eb",
+    ((1, 1, 1, 1), 2, "ft+->theta,ft-->theta"): "d4de09181e4aa64fcfd5c80ca3005cead29b52bcce41ba73726e3309b8c9e5eb",
+    ((1, 1, 1, 1), 3, "ft+->lambda,ft-->theta"): "5d3e192b0556f11547a4572833dadbd50f511126c608623c2aea1615eac706ca",
+    ((1, 1, 1, 1), 3, "ft+->theta,ft-->lambda"): "02e825e6a05854a5f5eed2de6bd0d6e78cba31b3a6de038ecdbbba3bbe5e227f",
+    ((1, 1, 1, 1), 3, "ft+->theta,ft-->theta"): "02e825e6a05854a5f5eed2de6bd0d6e78cba31b3a6de038ecdbbba3bbe5e227f",
+    ((1, 1, 2, 2), 2, "ft+->lambda,ft-->theta"): "6d3ec6acf0586690cd275cad51e34947979129fb8fc94d0e52d499f953bf5360",
+    ((1, 1, 2, 2), 2, "ft+->theta,ft-->lambda"): "65b4e88068353d7aed08fd2b408871295632164c9840874b2f90c45795f51c43",
+    ((1, 1, 2, 2), 2, "ft+->theta,ft-->theta"): "65b4e88068353d7aed08fd2b408871295632164c9840874b2f90c45795f51c43",
+    ((1, 1, 2, 2), 3, "ft+->lambda,ft-->theta"): "d2e5bd6507923349a8bc6e064f185a521e25fd7e3eb23cd57604746f69960ca6",
+    ((1, 1, 2, 2), 3, "ft+->theta,ft-->lambda"): "b80ec8b963084055b4c574cb7462684d41ebee0b34e1d70683c1f1666280f8f6",
+    ((1, 1, 2, 2), 3, "ft+->theta,ft-->theta"): "b80ec8b963084055b4c574cb7462684d41ebee0b34e1d70683c1f1666280f8f6",
+}
+
+
+def test_theta_variant_vacuum_failures_are_pinned():
+    for (blocks, p, label), digest in _THETA_VACUUM_DIGESTS.items():
+        (variant,) = [v for v in ft_variants() if v.label == label]
+        suite = verify_representation(AlgebraParams(*blocks), p, variant).suite("vacuum-orthonormal")
+        assert suite.failures
+        got = hashlib.sha256(json.dumps(suite.to_json()).encode()).hexdigest()
+        assert got == digest, (blocks, p, label)
+
+
+def _vacuum_leak(index):
+    """Give the lowering operator of ``index`` the image a^-|0> = |e_index>,
+    which no correct or slot-variant rule has."""
+    honest = fock.operator_matrix
+
+    def planted(gid, params, p, basis_kind="orthonormal", ft_variant=FT_CORRECTED):
+        op = honest(gid, params, p, basis_kind, ft_variant)
+        if gid != GeneratorId(index, "-"):
+            return op
+        entries = {(row, col): c for row, col, c in op.items()}
+        entries[(op.basis.index_of(single_quantum_state(params, index)), 0)] = RadicalSum(1)
+        return fock.SparseOperator(op.basis, entries, op.grade)
+
+    return planted
+
+
+# sha256 of the JSON list of the vacuum suites of both basis kinds at
+# (1,1,1,1), p=2, under _vacuum_leak(index).  The leak is the only way to
+# reach the a_j^+ a_i^- |0> term of the bracket, so these records pin its
+# sign: minus for every pair at the even index 1, plus and minus at the odd
+# index 3.
+_LEAK_DIGESTS = {
+    1: "3f4cf967cb4a045ae7d8df49d5ba7ca14ff39068daff9c98e43428c8c360b8f4",
+    3: "0a99f59e46b6f17414abedc80b0a434c81c2aed16653663606da26af03677188",
+}
+
+
+@pytest.mark.parametrize("index", sorted(_LEAK_DIGESTS))
+def test_vacuum_suite_sees_a_lowering_leak(monkeypatch, index):
+    monkeypatch.setattr(fock, "operator_matrix", _vacuum_leak(index))
+    ladder_operators.cache_clear()
+    try:
+        rep = verify_representation(AlgebraParams(1, 1, 1, 1), 2)
+    finally:
+        ladder_operators.cache_clear()
+    payload = [rep.suite(f"vacuum-{kind}").to_json() for kind in BASIS_KINDS]
+    assert all(suite["failures"] for suite in payload)
+    got = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
+    assert got == _LEAK_DIGESTS[index]
 
 
 def test_operator_json_format():

@@ -108,6 +108,35 @@ def test_subtraction_is_one_signed_merge(monkeypatch):
     assert graded_bracket(mixed, matrix_unit(0, 3, P)) == expected
 
 
+def test_entries_and_scalars_must_be_exact():
+    P = AlgebraParams(1, 0, 0, 0)
+    with pytest.raises(TypeError, match="matrix entries must be exact scalars, got float"):
+        GradedMatrix(P, {(0, 1): 0.5})
+    with pytest.raises(TypeError):
+        matrix_unit(0, 1, P) * 0.5
+    assert matrix_unit(0, 1, P) * Fraction(1, 2) == GradedMatrix(P, {(0, 1): Fraction(1, 2)})
+
+
+_small = st.integers(min_value=-2, max_value=2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_small, min_size=9, max_size=9), st.lists(_small, min_size=9, max_size=9),
+       st.booleans())
+def test_product_matches_dense_reference(a, b, one_column):
+    # 3x3 matrices of (1,0,1,0); with one_column, b keeps only column 0 (a vector)
+    P = AlgebraParams(1, 0, 1, 0)
+    if one_column:
+        b = [x if pos % 3 == 0 else 0 for pos, x in enumerate(b)]
+    A = GradedMatrix(P, {(i, j): a[3 * i + j] for i in range(3) for j in range(3)})
+    B = GradedMatrix(P, {(i, j): b[3 * i + j] for i in range(3) for j in range(3)})
+    dense = {
+        (i, j): sum(a[3 * i + k] * b[3 * k + j] for k in range(3))
+        for i in range(3) for j in range(3)
+    }
+    assert A @ B == GradedMatrix(P, dense)
+
+
 _entries = st.one_of(
     st.just(0),
     st.integers(min_value=-4, max_value=4),
