@@ -177,6 +177,16 @@ class FockBasis:
             raise ValueError(f"state {state} is not in the order-{self.p} basis")
         return pos
 
+    # The states are fixed by params and p, so two bases with both equal
+    # are the same space (operators built on either may be combined).
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, FockBasis):
+            return NotImplemented
+        return self.params == other.params and self.p == other.p
+
+    def __hash__(self) -> int:
+        return hash((self.params, self.p))
+
     def __len__(self) -> int:
         return len(self.states)
 
@@ -248,17 +258,23 @@ def dimension(params: AlgebraParams, p: int) -> int:
     return len(enumerate_basis(params, p))
 
 
+def _check_positive(p: int) -> None:
+    """The one test that an order is a positive integer (a bool is not)."""
+    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
+        raise ValueError(f"order p must be a positive integer, got {p!r}")
+
+
 def closed_form_dimension(params: AlgebraParams, p: int) -> int:
     """Independent count: choose k of the n fermionic orbitals, then weakly
     compose at most p-k bosonic quanta into m slots."""
-    if not isinstance(p, int) or isinstance(p, bool) or p < 1:
-        raise ValueError(f"order p must be a positive integer, got {p!r}")
+    _check_positive(p)
     m, n = params.m, params.n
     return sum(comb(n, k) * comb(p - k + m, m) for k in range(min(n, p) + 1))
 
 
 def norm_factor(state: FockState, p: int) -> RadicalSum:
     """Scalar relating the unnormalized monomial vector to the unit vector."""
+    _check_positive(p)
     R = state.total
     if R > p:
         raise ValueError(f"state with total {R} is inadmissible at order {p}")
@@ -323,7 +339,7 @@ def _ladder_rule(
         if orthonormal:
             coeff = RadicalSum.sqrt(weight * room) * sign
         else:
-            coeff = RadicalSum(sign if raising else sign * weight * room)
+            coeff = sign if raising else sign * weight * room
         return coeff, occ[:write] + (new,) + occ[write + 1 :]
 
     return act
@@ -359,7 +375,7 @@ def apply_generator(
     term = act(state.occupations(), R)
     if term is None:
         return []
-    return [(term[0], FockState.from_occupations(params, term[1]))]
+    return [(RadicalSum._coerce(term[0]), FockState.from_occupations(params, term[1]))]
 
 
 class SparseOperator(SparseMatrix):
@@ -370,7 +386,7 @@ class SparseOperator(SparseMatrix):
     operator whose entries all lie in column 0.
     """
 
-    __slots__ = ("basis", "grade")
+    __slots__ = ("grade",)
     _noun = "operator"
     _mismatch = "operators act on different bases"
 
@@ -380,26 +396,30 @@ class SparseOperator(SparseMatrix):
         entries,
         grade: Grade | None = None,
     ) -> None:
-        self._place(basis, grade)
-        self._validate(entries, len(basis))
-
-    def _place(self, basis: FockBasis, grade: Grade | None = None) -> None:
-        self.basis = basis
+        self._space = basis
         self.grade = grade
-
-    def _key(self) -> tuple[AlgebraParams, int]:
-        return self.basis.params, self.basis.p
+        self._validate(entries, len(basis))
 
     def _like(self, entries: dict, other=None, product: bool = False) -> "SparseOperator":
         grade = self.grade
-        if other is not None:
-            if grade is None or other.grade is None:
+        if other is not None and grade is not None:
+            theirs = other.grade
+            if theirs is None:
                 grade = None
             elif product:
-                grade = grade + other.grade
-            elif grade != other.grade:
+                grade = grade + theirs
+            elif grade != theirs:
                 grade = None
-        return SparseOperator._raw(entries, self.basis, grade)
+        out = object.__new__(SparseOperator)
+        out._entries = entries
+        out._space = self._space
+        out._col_map = None
+        out.grade = grade
+        return out
+
+    @property
+    def basis(self) -> FockBasis:
+        return self._space
 
     # Bound in this class too, so operator products can be wrapped on their own.
     __matmul__ = SparseMatrix.__matmul__
@@ -408,7 +428,7 @@ class SparseOperator(SparseMatrix):
 
     @property
     def dimension(self) -> int:
-        return len(self.basis)
+        return len(self._space)
 
     @property
     def is_diagonal(self) -> bool:
@@ -444,8 +464,8 @@ class SparseOperator(SparseMatrix):
 
     def to_json(self) -> dict:
         return {
-            "params": list(self.basis.params.as_tuple()),
-            "p": self.basis.p,
+            "params": list(self._space.params.as_tuple()),
+            "p": self._space.p,
             "shape": [self.dimension, self.dimension],
             "entries": self._entries_json(),
         }
@@ -465,12 +485,12 @@ def operator_matrix(
     basis = enumerate_basis(params, p)
     act = _ladder_rule(gid, params, p, basis_kind, ft_variant)
     index = basis._index
-    entries: dict[tuple[int, int], RadicalSum] = {}
+    entries: dict[tuple[int, int], int | RadicalSum] = {}
     for col, occ in enumerate(index):
         term = act(occ, sum(occ))
         if term is not None:
             entries[(index[term[1]], col)] = term[0]
-    return SparseOperator._raw(entries, basis, gid.grade(params))
+    return SparseOperator(basis, entries, gid.grade(params))
 
 
 @lru_cache(maxsize=256, typed=True)
@@ -548,7 +568,8 @@ def spanning_rank(params: AlgebraParams, p: int) -> tuple[int, int]:
         for vec in frontier:
             for op in plus:
                 image = op @ vec
-                if image.nnz and space.add({i: c.as_fraction() for i, _, c in image.items()}):
+                # unnormalized entries are ints, which the row space takes as they are
+                if image.nnz and space.add({i: c for (i, _), c in image._entries.items()}):
                     fresh.append(image)
         frontier = fresh
     return space.rank, dim

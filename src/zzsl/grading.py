@@ -128,12 +128,12 @@ class AlgebraParams:
 
 
 class GradedMatrix(SparseMatrix):
-    """Square matrix over RadicalSum carrying the block grading of its algebra.
+    """Square matrix of exact scalars carrying the block grading of its algebra.
 
     Instances are immutable; only nonzero entries are stored.
     """
 
-    __slots__ = ("params", "_comps")
+    __slots__ = ("_comps",)
     _mismatch = "dimension mismatch: matrices live in different algebras"
 
     def __init__(
@@ -141,38 +141,36 @@ class GradedMatrix(SparseMatrix):
         params: AlgebraParams,
         entries: Mapping[tuple[int, int], RadicalSum | Rational] | Iterable = (),
     ) -> None:
-        self._place(params)
+        self._space = params
+        self._comps = None
         self._validate(entries, params.size)
 
-    def _place(self, params: AlgebraParams) -> None:
-        self.params = params
-        self._comps = None
-
-    def _key(self) -> AlgebraParams:
-        return self.params
-
     def _like(self, entries: dict, other=None, product: bool = False) -> "GradedMatrix":
-        return GradedMatrix._raw(entries, self.params)
+        out = object.__new__(GradedMatrix)
+        out._entries = entries
+        out._space = self._space
+        out._col_map = out._comps = None
+        return out
+
+    @property
+    def params(self) -> AlgebraParams:
+        return self._space
 
     # ------------------------------------------------------------------ build
 
     @classmethod
     def identity(cls, params: AlgebraParams) -> "GradedMatrix":
-        one = RadicalSum(1)
-        return cls._raw({(i, i): one for i in params.indices()}, params)
+        return cls(params, {(i, i): 1 for i in params.indices()})
 
     @classmethod
     def unit(cls, params: AlgebraParams, i: int, j: int) -> "GradedMatrix":
         """Matrix unit with a single 1 in row i, column j."""
-        n = params.size
-        if not (0 <= i < n and 0 <= j < n):
-            raise ValueError(f"index out of range for size {n}: ({i},{j})")
-        return cls._raw({(i, j): RadicalSum(1)}, params)
+        return cls(params, {(i, j): 1})
 
     # ------------------------------------------------------------ inspection
 
     def entry_grade(self, i: int, j: int) -> Grade:
-        return self.params.index_grade(i) + self.params.index_grade(j)
+        return self._space.index_grade(i) + self._space.index_grade(j)
 
     def _components(self) -> list[tuple[Grade, "GradedMatrix"]]:
         """Nonzero homogeneous components as (grade, matrix) pairs, by grade."""
@@ -188,7 +186,7 @@ class GradedMatrix(SparseMatrix):
 
     def decompose(self) -> dict[Grade, "GradedMatrix"]:
         """Split into the four block-homogeneous components (zeros included)."""
-        parts = {g: GradedMatrix.zero(self.params) for g in GRADES}
+        parts = {g: GradedMatrix.zero(self._space) for g in GRADES}
         parts.update(self._components())
         return parts
 
@@ -207,31 +205,30 @@ class GradedMatrix(SparseMatrix):
 
     def supertrace(self) -> RadicalSum:
         """Signed trace: +1 on rows 0..m, -1 on rows m+1..m+n."""
-        m = self.params.m
-        total = RadicalSum()
-        for i in self.params.indices():
-            c = self._entries.get((i, i))
-            if c is not None:
+        m = self._space.m
+        total = 0
+        for (i, j), c in self._entries.items():
+            if i == j:
                 total = total + c if i <= m else total - c
-        return total
+        return RadicalSum._coerce(total)
 
     def to_json(self) -> dict:
-        return {"params": list(self.params.as_tuple()), "entries": self._entries_json()}
+        return {"params": list(self._space.as_tuple()), "entries": self._entries_json()}
 
     def __repr__(self) -> str:
-        return f"GradedMatrix(params={self.params}, nnz={self.nnz})"
+        return f"GradedMatrix(params={self._space}, nnz={self.nnz})"
 
 
 def graded_bracket(x: GradedMatrix, y: GradedMatrix) -> GradedMatrix:
     """Graded bracket, extended bilinearly over the component decomposition."""
     x._check_same(y)
-    total = GradedMatrix.zero(x.params)
+    total = None
     for a, xa in x._components():
         for b, yb in y._components():
             # xa yb - (-1)**(a.b) yb xa
             term = xa @ yb + yb @ xa if a.dot(b) else xa @ yb - yb @ xa
-            total = term if total.is_zero else total + term
-    return total
+            total = term if total is None else total + term
+    return x._like({}) if total is None else total
 
 
 def supertrace(matrix: GradedMatrix) -> RadicalSum:
@@ -256,85 +253,33 @@ def jacobi_residual(x: GradedMatrix, y: GradedMatrix, z: GradedMatrix) -> Graded
     return result - term3 if sign == 1 else result + term3
 
 
-# Parity of a.b for 2-bit grade masks a, b, indexed by a & b: the bracket
-# sign (-1)**(a.b) is -1 exactly when _ODD[a & b] is 1.
-_ODD = (0, 1, 1, 0)
+class _BracketTable(dict):
+    """Graded brackets of interned GradedMatrix elements, memoised by id pair.
 
-
-def _mask(grade: Grade) -> int:
-    return grade.a1 << 1 | grade.a2
-
-
-class _IntegerBrackets(dict):
-    """Graded brackets of interned sparse integer matrices, memoised by id pair.
-
-    An element is a sorted tuple of ``((i, j), c)`` with integer ``c != 0``;
-    interning gives it an int id, and id 0 is the zero matrix.  Looking up
-    ``self[x, y]`` returns the id of ``[x, y]``, computing it on first use by
-    sparse products over the homogeneous components, exactly as
-    ``graded_bracket`` does on ``GradedMatrix``.  One instance serves one
-    axiom sweep, so the memo never outlives the call.
+    Interning keys an element by its entry set and gives it an int id; id 0
+    is the zero matrix.  Looking up ``self[x, y]`` returns the id of
+    ``graded_bracket`` of elements x and y, computing it on first use.  One
+    instance serves one axiom sweep, so the memo never outlives the call.
     """
 
-    def __init__(self, index_masks: list[int]) -> None:
+    def __init__(self, params: AlgebraParams) -> None:
         super().__init__()
-        self.index_masks = index_masks
-        self.elements: list[tuple] = []
-        # per id: [(grade mask, entries ((i, k), c), rows {k: [(j, c)]})]
-        self.components: list[list[tuple[int, tuple, dict]]] = []
-        self._ids: dict[tuple, int] = {}
-        self.intern(())
+        self.elements: list[GradedMatrix] = []
+        self._ids: dict[frozenset, int] = {}
+        self.intern(GradedMatrix(params))
 
-    def intern(self, entries: tuple) -> int:
-        eid = self._ids.get(entries)
+    def intern(self, matrix: GradedMatrix) -> int:
+        key = frozenset(matrix._entries.items())
+        eid = self._ids.get(key)
         if eid is None:
-            eid = self._ids[entries] = len(self.elements)
-            self.elements.append(entries)
-            masks = self.index_masks
-            parts: dict[int, list] = {}
-            for entry in entries:
-                (i, j), _ = entry
-                parts.setdefault(masks[i] ^ masks[j], []).append(entry)
-            comps = []
-            for grade, part in sorted(parts.items()):
-                rows: dict[int, list[tuple[int, int]]] = {}
-                for (k, j), c in part:
-                    rows.setdefault(k, []).append((j, c))
-                comps.append((grade, tuple(part), rows))
-            self.components.append(comps)
+            eid = self._ids[key] = len(self.elements)
+            self.elements.append(matrix)
         return eid
 
     def __missing__(self, key: tuple[int, int]) -> int:
         x, y = key
-        acc: dict[tuple[int, int], int] = {}
-        ycomps = self.components[y]
-        for a, xa, xrows in self.components[x]:
-            for b, yb, yrows in ycomps:
-                _add_product(acc, xa, yrows, 1)
-                # subtract (-1)**(a.b) * Y_b X_a
-                _add_product(acc, yb, xrows, 1 if _ODD[a & b] else -1)
-        value = self[key] = self.intern(_nonzero(acc))
+        value = self[key] = self.intern(graded_bracket(self.elements[x], self.elements[y]))
         return value
-
-    def combine(self, terms: Iterable[tuple[int, int]]) -> tuple:
-        """Entries of the integer combination sum(c * element) over (id, c)."""
-        acc: dict[tuple[int, int], int] = {}
-        for eid, coeff in terms:
-            for key, c in self.elements[eid]:
-                acc[key] = acc.get(key, 0) + coeff * c
-        return _nonzero(acc)
-
-
-def _add_product(acc: dict, a: tuple, b_rows: dict, sign: int) -> None:
-    """acc += sign * A.B for entries A and row map B."""
-    for (i, k), x in a:
-        for j, y in b_rows.get(k, ()):
-            key = (i, j)
-            acc[key] = acc.get(key, 0) + sign * x * y
-
-
-def _nonzero(acc: dict) -> tuple:
-    return tuple(sorted(item for item in acc.items() if item[1]))
 
 
 def axiom_report(params: AlgebraParams) -> AxiomReport:
@@ -342,11 +287,11 @@ def axiom_report(params: AlgebraParams) -> AxiomReport:
 
     Checks, on every homogeneous basis pair, the symmetry identity, the
     grading of the bracket and the vanishing of the supertrace of brackets;
-    and the Jacobi identity on every basis triple.  Every matrix met by the
-    sweep has integer entries, so it runs on interned integer matrices
-    (``_IntegerBrackets``); failing residuals are rendered as ``GradedMatrix``
-    and ``RadicalSum`` JSON.  An algebra with more than ``MAX_AXIOM_TRIPLES``
-    basis triples is rejected with ``ValueError`` before anything is built.
+    and the Jacobi identity on every basis triple.  Brackets come from
+    ``graded_bracket`` on interned elements (``_BracketTable``), and each
+    distinct Jacobi residual is formed once.  An algebra with more than
+    ``MAX_AXIOM_TRIPLES`` basis triples is rejected with ``ValueError``
+    before anything is built.
     """
     triples = params.size**6
     if triples > MAX_AXIOM_TRIPLES:
@@ -354,58 +299,57 @@ def axiom_report(params: AlgebraParams) -> AxiomReport:
             f"axiom sweep for {params.as_tuple()} needs {triples} Jacobi triples, "
             f"above the limit {MAX_AXIOM_TRIPLES}"
         )
-    m = params.m
-    index_masks = [_mask(params.index_grade(i)) for i in params.indices()]
-    brackets = _IntegerBrackets(index_masks)
+    brackets = _BracketTable(params)
+    elements = brackets.elements
     units = [
-        (i, j, brackets.intern((((i, j), 1),)), index_masks[i] ^ index_masks[j])
+        (i, j, brackets.intern(GradedMatrix.unit(params, i, j)),
+         params.index_grade(i) + params.index_grade(j))
         for i in params.indices()
         for j in params.indices()
     ]
     table = [[brackets[ux, uy] for (_, _, uy, _) in units] for (_, _, ux, _) in units]
-    elements = brackets.elements
-
-    def matrix_json(entries: tuple) -> dict:
-        return GradedMatrix(params, entries).to_json()
 
     failures: list[CheckFailure] = []
     pairs_checked = 0
     for x, (i1, j1, _, a) in enumerate(units):
         for y, (i2, j2, _, b) in enumerate(units):
             pairs_checked += 1
-            bxy = table[x][y]
-            sym = brackets.combine(((bxy, 1), (table[y][x], -1 if _ODD[a & b] else 1)))
-            if sym:
-                failures.append(CheckFailure("symmetry", (i1, j1, i2, j2), matrix_json(sym)))
-            if bxy:
-                comps = brackets.components[bxy]
-                if len(comps) != 1 or comps[0][0] != a ^ b:
-                    failures.append(
-                        CheckFailure("grading", (i1, j1, i2, j2), matrix_json(elements[bxy]))
-                    )
-            st = sum(c if i <= m else -c for (i, j), c in elements[bxy] if i == j)
-            if st:
-                failures.append(
-                    CheckFailure("supertrace", (i1, j1, i2, j2), RadicalSum(st).to_json())
-                )
+            bxy, byx = elements[table[x][y]], elements[table[y][x]]
+            sym = bxy + byx if a.sign(b) == 1 else bxy - byx
+            if not sym.is_zero:
+                failures.append(CheckFailure("symmetry", (i1, j1, i2, j2), sym.to_json()))
+            if not bxy.is_zero:
+                comps = bxy._components()
+                if len(comps) != 1 or comps[0][0] != a + b:
+                    failures.append(CheckFailure("grading", (i1, j1, i2, j2), bxy.to_json()))
+            st = bxy.supertrace()
+            if not st.is_zero:
+                failures.append(CheckFailure("supertrace", (i1, j1, i2, j2), st.to_json()))
 
+    residuals: dict[tuple[int, int, int, int], GradedMatrix] = {}
     triples_checked = 0
     for x, (i1, j1, ux, a) in enumerate(units):
         row_x = table[x]
         for y, (i2, j2, uy, b) in enumerate(units):
             row_y = table[y]
             bxy = row_x[y]
-            s3 = 1 if _ODD[a & b] else -1
+            sign = a.sign(b)
             for z, (i3, j3, uz, _) in enumerate(units):
                 # [x,[y,z]] - [[x,y],z] - (-1)**(a.b) [y,[x,z]]
                 t1 = brackets[ux, row_y[z]]
                 t2 = brackets[bxy, uz]
                 t3 = brackets[uy, row_x[z]]
                 if t1 or t2 or t3:
-                    res = brackets.combine(((t1, 1), (t2, -1), (t3, s3)))
-                    if res:
+                    key = (t1, t2, t3, sign)
+                    res = residuals.get(key)
+                    if res is None:
+                        res = elements[t1] - elements[t2]
+                        res = residuals[key] = (
+                            res - elements[t3] if sign == 1 else res + elements[t3]
+                        )
+                    if not res.is_zero:
                         failures.append(
-                            CheckFailure("jacobi", (i1, j1, i2, j2, i3, j3), matrix_json(res))
+                            CheckFailure("jacobi", (i1, j1, i2, j2, i3, j3), res.to_json())
                         )
             triples_checked += len(units)
 

@@ -1,4 +1,4 @@
-"""Exact linear algebra: sparse matrices over RadicalSum, rational row spaces."""
+"""Exact linear algebra: sparse matrices of exact scalars, rational row spaces."""
 
 from __future__ import annotations
 
@@ -6,23 +6,28 @@ from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from typing import Iterable, Mapping
 
-from .radicals import RadicalSum
+from .radicals import RadicalSum, exact
 
 
 class SparseMatrix:
-    """Square matrix over RadicalSum, stored as its nonzero entries.
+    """Square matrix of exact scalars, stored as its nonzero entries.
 
-    ``_entries`` maps ``(row, col)`` to a nonzero coefficient.  A vector is a
-    matrix whose entries all lie in column 0.  A subclass
-    fixes the space the matrix acts on: ``_place(*space)`` stores it,
-    ``_key()`` says which operands may be combined, and
-    ``_like(entries, other=None, product=False)`` wraps a result in the same
-    space (``other`` is the second operand of a sum or, with ``product``, of
-    a product).  ``_noun`` and ``_mismatch`` word its error messages.
-    Instances are immutable.
+    ``_entries`` maps ``(row, col)`` to a nonzero entry: a plain ``int`` when
+    it is integral, else a RadicalSum (see ``radicals.exact``).  Arithmetic
+    on ``int`` entries stays ``int``; radical arithmetic may leave an integral
+    value as a RadicalSum, which compares and hashes equal to its ``int``.
+    ``entry``, ``items`` and the JSON renderings hand out RadicalSum.  A vector
+    is a matrix whose entries all lie in column 0.
+
+    ``_space`` is what the matrix acts on; two operands combine when their
+    spaces are the same object or equal.  A subclass builds its results with
+    ``_like(entries, other=None, product=False)``, which wraps a clean entry
+    dict in the same space (``other`` is the second operand of a sum or, with
+    ``product``, of a product), and words its errors with ``_noun`` and
+    ``_mismatch``.  Instances are immutable.
     """
 
-    __slots__ = ("_entries", "_col_map")
+    __slots__ = ("_entries", "_space", "_col_map")
     _noun = "matrix"
     _mismatch = "matrices live in different spaces"
 
@@ -30,39 +35,30 @@ class SparseMatrix:
 
     def _validate(self, entries, size: int) -> None:
         items = entries.items() if hasattr(entries, "items") else entries
-        clean: dict[tuple[int, int], RadicalSum] = {}
+        clean: dict[tuple[int, int], int | RadicalSum] = {}
         for (i, j), value in items:
             if not (0 <= i < size and 0 <= j < size):
                 raise ValueError(f"entry ({i},{j}) outside {size}x{size} {self._noun}")
-            coeff = RadicalSum._coerce(value)
+            coeff = exact(value)
             if coeff is None:
                 raise TypeError(f"matrix entries must be exact scalars, got {type(value).__name__}")
-            if not coeff.is_zero:
+            if coeff:
                 clean[(i, j)] = coeff
         self._entries = clean
         self._col_map = None
 
     @classmethod
-    def _raw(cls, entries: dict, *space):
-        """Wrap a clean entry dict (no zeros, indices in range) without copying."""
-        out = cls.__new__(cls)
-        out._entries = entries
-        out._col_map = None
-        out._place(*space)
-        return out
-
-    @classmethod
-    def zero(cls, *space):
-        return cls._raw({}, *space)
+    def zero(cls, space, *extra):
+        return cls(space, {}, *extra)
 
     # ------------------------------------------------------------ inspection
 
     def entry(self, i: int, j: int) -> RadicalSum:
-        return self._entries.get((i, j), RadicalSum())
+        return RadicalSum._coerce(self._entries.get((i, j), 0))
 
     def items(self) -> list[tuple[int, int, RadicalSum]]:
         """Nonzero entries in row-major order."""
-        return [(i, j, c) for (i, j), c in sorted(self._entries.items())]
+        return [(i, j, RadicalSum._coerce(c)) for (i, j), c in sorted(self._entries.items())]
 
     @property
     def nnz(self) -> int:
@@ -72,13 +68,12 @@ class SparseMatrix:
     def is_zero(self) -> bool:
         return not self._entries
 
-    def _cols(self) -> dict[int, list[tuple[int, RadicalSum]]]:
-        if self._col_map is None:
-            cols: dict[int, list[tuple[int, RadicalSum]]] = {}
-            for (i, j), c in self._entries.items():
-                cols.setdefault(j, []).append((i, c))
-            self._col_map = cols
-        return self._col_map
+    def _cols(self) -> dict[int, list[tuple[int, int | RadicalSum]]]:
+        cols: dict[int, list[tuple[int, int | RadicalSum]]] = {}
+        for (i, j), c in self._entries.items():
+            cols.setdefault(j, []).append((i, c))
+        self._col_map = cols
+        return cols
 
     def _entries_json(self) -> list[dict]:
         return [{"row": i, "col": j, "coeff": c.to_json()} for i, j, c in self.items()]
@@ -86,15 +81,17 @@ class SparseMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):
             return NotImplemented
-        return self._key() == other._key() and self._entries == other._entries
+        mine, theirs = self._space, other._space
+        return (mine is theirs or mine == theirs) and self._entries == other._entries
 
     # ------------------------------------------------------------ arithmetic
 
     def _check_same(self, other: "SparseMatrix") -> None:
+        if getattr(other, "_space", None) is self._space:
+            return
         if not isinstance(other, type(self)):
             raise TypeError(f"expected a {type(self).__name__}")
-        mine, theirs = self._key(), other._key()
-        if mine is not theirs and mine != theirs:
+        if self._space != other._space:
             raise ValueError(self._mismatch)
 
     def _merge(self, other: "SparseMatrix", subtract: bool):
@@ -107,10 +104,10 @@ class SparseMatrix:
                 acc[key] = c * -1 if subtract else c
                 continue
             new = cur - c if subtract else cur + c
-            if new.is_zero:
-                del acc[key]
-            else:
+            if new:
                 acc[key] = new
+            else:
+                del acc[key]
         return self._like(acc, other)
 
     def __add__(self, other):
@@ -123,10 +120,10 @@ class SparseMatrix:
         return self._like({k: -c for k, c in self._entries.items()})
 
     def __mul__(self, scalar):
-        scalar = RadicalSum._coerce(scalar)
+        scalar = exact(scalar)
         if scalar is None:
             return NotImplemented
-        if scalar.is_zero:
+        if not scalar:
             return self._like({})
         return self._like({k: c * scalar for k, c in self._entries.items()})
 
@@ -137,22 +134,26 @@ class SparseMatrix:
         operand's cached columns, so ``A @ v`` for a vector ``v`` touches
         only the columns of ``A`` that ``v`` selects."""
         self._check_same(other)
-        acc: dict[tuple[int, int], RadicalSum] = {}
-        cols = self._cols()
+        acc: dict[tuple[int, int], int | RadicalSum] = {}
+        cols = self._col_map
+        if cols is None:
+            cols = self._cols()
         for (k, j), y in other._entries.items():
             col = cols.get(k)
-            if not col:
+            if col is None:
                 continue
             for i, x in col:
                 key = (i, j)
-                v = x * y
                 cur = acc.get(key)
-                new = v if cur is None else cur + v
-                if new.is_zero:
-                    acc.pop(key, None)
-                else:
+                if cur is None:
+                    acc[key] = x * y  # nonzero: a product of nonzero reals
+                    continue
+                new = cur + x * y
+                if new:
                     acc[key] = new
-        return self._like(acc, other, product=True)
+                else:
+                    del acc[key]
+        return self._like(acc, other, True)
 
     def transpose(self):
         return self._like({(j, i): c for (i, j), c in self._entries.items()})

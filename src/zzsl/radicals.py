@@ -16,7 +16,7 @@ from functools import lru_cache
 from math import gcd, isqrt
 from typing import Iterable, Mapping, Union
 
-__all__ = ["Rational", "normalize_radical", "RadicalSum"]
+__all__ = ["Rational", "normalize_radical", "RadicalSum", "exact"]
 
 Rational = Union[int, Fraction]
 
@@ -28,14 +28,23 @@ def _canon(q: Rational) -> Rational:
     return q if type(q) is int else (q.numerator if q.denominator == 1 else q)
 
 
-@lru_cache(maxsize=None)
+def _check_rational(value) -> None:
+    if not isinstance(value, (int, Fraction)):
+        raise TypeError(f"exact scalars are int or Fraction, got {type(value).__name__}")
+
+
+# typed: a float or bool radicand must miss the entry cached for its int value
+@lru_cache(maxsize=None, typed=True)
 def normalize_radical(n: int) -> tuple[int, int]:
     """Write ``n >= 0`` as ``outer**2 * squarefree`` and return ``(outer, squarefree)``.
 
     Factorization is plain trial division; radicands here are products of
     occupation numbers and the statistics order, so they stay tiny.
     ``normalize_radical(0) == (1, 0)`` and callers map sqrt(0) to the zero sum.
+    A radicand that is not an ``int`` (a ``bool`` included) is a TypeError.
     """
+    if type(n) is not int:
+        raise TypeError(f"radicand must be an int, got {type(n).__name__}")
     if n < 0:
         raise ValueError(f"radicand must be nonnegative, got {n}")
     if n == 0:
@@ -64,10 +73,10 @@ class RadicalSum:
     __slots__ = ("_terms",)
 
     def __init__(self, value: Rational = 0) -> None:
-        if isinstance(value, float):
-            raise TypeError("floats are not exact; pass int or Fraction")
-        coeff = value if type(value) is int else _canon(Fraction(value))
-        self._terms: dict[int, Rational] = {1: coeff} if coeff else {}
+        if type(value) is not int:
+            _check_rational(value)
+            value = _canon(Fraction(value))
+        self._terms: dict[int, Rational] = {1: value} if value else {}
 
     # ------------------------------------------------------------------ build
 
@@ -87,6 +96,7 @@ class RadicalSum:
         items = terms.items() if isinstance(terms, Mapping) else terms
         acc: dict[int, Rational] = {}
         for radicand, coeff in items:
+            _check_rational(coeff)
             outer, sf = normalize_radical(radicand)
             q = Fraction(coeff) * outer
             if sf == 0 or not q:
@@ -109,6 +119,7 @@ class RadicalSum:
     @classmethod
     def sqrt_fraction(cls, value: Rational) -> "RadicalSum":
         """Exact sqrt(a/b), stored as (1/b)*sqrt(a*b) to keep radicands integral."""
+        _check_rational(value)
         q = Fraction(value)
         if q < 0:
             raise ValueError("cannot take a real square root of a negative value")
@@ -287,3 +298,16 @@ class RadicalSum:
 
     def __repr__(self) -> str:
         return f"RadicalSum({str(self)!r})"
+
+
+def exact(value) -> "int | RadicalSum | None":
+    """``value`` as a matrix entry: a plain ``int`` when it is integral, else a
+    RadicalSum; None when it is not an exact scalar (a float, say)."""
+    if type(value) is int:
+        return value
+    value = RadicalSum._coerce(value)
+    if value is not None and value._terms.keys() <= {1}:
+        q = value._terms.get(1, 0)
+        if type(q) is int:
+            return q
+    return value

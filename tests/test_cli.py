@@ -1,9 +1,13 @@
 """Command-line surface: exit codes, report content, determinism."""
 
+import contextlib
+import io
 import json
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zzsl import fock
 from zzsl.cli import parse_and_run
@@ -228,7 +232,7 @@ def test_order_range_is_checked_at_its_top_first(monkeypatch, capsys, command):
 
     monkeypatch.setattr(fock, "_counts", refuse)
     monkeypatch.setattr(fock, "_bits", refuse)
-    monkeypatch.setattr(grading, "_IntegerBrackets", refuse)
+    monkeypatch.setattr(grading, "_BracketTable", refuse)
     fock.enumerate_basis.cache_clear()
     expected = fock.closed_form_dimension(fock.AlgebraParams(1, 1, 1, 1), 2000)
     code, out, err = run([command, "--params", "1,1,1,1", "--p", "1..2000"], capsys)
@@ -246,9 +250,77 @@ def test_oversized_algebra_is_rejected_before_the_axiom_sweep(monkeypatch, capsy
     def refuse(*args):
         raise AssertionError("the axiom sweep was started")
 
-    monkeypatch.setattr(grading, "_IntegerBrackets", refuse)
+    monkeypatch.setattr(grading, "_BracketTable", refuse)
     code, out, err = run(["verify", "--params", "40,40,40,40", "--p", "1"], capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and str(161**6) in err
     assert "Traceback" not in err
+
+
+# Values that are malformed, or wrong for some option or command, which the
+# fuzzer puts in place of valid ones.  Nothing draws digits freely, so a
+# valid but huge module cannot come up.
+_MALFORMED = st.sampled_from([
+    "", " ", "x", "1,1,1", "1,1,1,1,1", "-1,0,0,0", "1.5,0,0,0", "a,b,c,d", "0", "-1",
+    "1..", "..2", "3..1", "1..2", "1..2..3", "1.5", "nan", "inf", "1/0", "1e3", "--p", "٣",
+])
+_blocks = st.tuples(*[st.integers(0, 3)] * 4)
+_orders = st.integers(1, 3)
+
+
+_FORMATS = {
+    "verify": ["text", "json"],
+    "dim": ["text", "json", "csv"],
+    "export": ["json"],
+    "spectrum": ["text", "json", "csv"],
+    "occupancy": ["text", "json"],
+}
+
+
+@st.composite
+def _argv(draw):
+    """A well-formed argv for one of the five commands, corrupted one time in two."""
+    command = draw(st.sampled_from(sorted(_FORMATS)))
+    # the axiom sweep grows as N**6; m+n <= 3 keeps a verify example fast
+    blocks = draw(_blocks.filter(lambda b: command != "verify" or sum(b) <= 3))
+    m = blocks[0] + blocks[1]
+    if command == "spectrum" and draw(st.booleans()):
+        blocks = blocks[:2] + (m - min(m, 3), min(m, 3))  # paired: m = n
+    lo = draw(_orders)
+    hi = draw(st.integers(lo, 3))
+    args = {
+        "--params": ",".join(map(str, blocks)),
+        "--p": f"{lo}..{hi}" if command in ("verify", "dim") and draw(st.booleans()) else str(lo),
+        "--format": draw(st.sampled_from(_FORMATS[command])),
+    }
+    if command == "spectrum":
+        eps = st.sampled_from(["1", "3/2", "-2", "0"])
+        args["--eps"] = ",".join(draw(st.lists(eps, min_size=max(m, 1), max_size=max(m, 1))))
+        args["--reading"] = draw(st.sampled_from(["graded", "literal"]))
+    if command == "export":
+        args["--basis"] = draw(st.sampled_from(["orthonormal", "unnormalized"]))
+    if draw(st.booleans()):
+        for name in draw(st.sets(st.sampled_from(sorted(args)), min_size=1, max_size=2)):
+            if draw(st.booleans()):
+                args[name] = draw(_MALFORMED)
+            else:
+                del args[name]
+    argv = [command]
+    for name, value in args.items():
+        argv += [name, value]
+    if draw(st.integers(0, 4)) == 0:
+        argv.insert(draw(st.integers(0, len(argv))), draw(_MALFORMED))
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_argv())
+def test_fuzzed_arguments_exit_cleanly(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = parse_and_run(argv)
+    assert code in (0, 1, 2), (argv, code)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue() and not out.getvalue()

@@ -130,6 +130,10 @@ def test_norm_factor_examples():
     assert norm_factor(FockState((2,), (), (), ()), 2) == Fraction(1, 2)
     with pytest.raises(ValueError):
         norm_factor(FockState((2,), (), (), ()), 1)
+    # the order goes through the same positive-integer test as the dimension
+    for bad in (True, 1.5, 0):
+        with pytest.raises(ValueError, match="order p must be a positive integer"):
+            norm_factor(FockState((1,), (), (), ()), bad)
 
 
 # ------------------------------------------------------------------ actions

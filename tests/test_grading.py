@@ -1,6 +1,8 @@
 """Degree arithmetic, graded brackets, supertrace and the bracket axioms."""
 
+import hashlib
 import itertools
+import json
 import random
 
 import pytest
@@ -233,22 +235,6 @@ def _reference_axiom_report(P):
     }
 
 
-@pytest.mark.parametrize("blocks", [(1, 0, 1, 0), (1, 1, 1, 1), (0, 1, 1, 1)])
-def test_integer_brackets_match_graded_bracket(blocks):
-    P = AlgebraParams(*blocks)
-    masks = [grading._mask(P.index_grade(i)) for i in P.indices()]
-    brackets = grading._IntegerBrackets(masks)
-    units = [
-        (brackets.intern((((i, j), 1),)), matrix_unit(i, j, P))
-        for i in P.indices()
-        for j in P.indices()
-    ]
-    for ux, x in units:
-        for uy, y in units:
-            entries = brackets.elements[brackets[ux, uy]]
-            assert GradedMatrix(P, entries) == graded_bracket(x, y)
-
-
 def test_axiom_report_planted_grade_fault_matches_reference(monkeypatch):
     P = AlgebraParams(1, 1, 1, 1)
     honest = AlgebraParams.index_grade
@@ -264,20 +250,48 @@ def test_axiom_report_planted_grade_fault_matches_reference(monkeypatch):
 
 def test_axiom_report_planted_sign_fault_matches_reference(monkeypatch):
     # (-1)**(a.b) with OR in place of the sum mod 2 is no longer a bicharacter,
-    # so Jacobi fails; plant it in both the sweep and graded_bracket.
+    # so Jacobi fails; Grade.dot feeds both the sweep and graded_bracket.
     P = AlgebraParams(1, 0, 1, 1)
-    monkeypatch.setattr(grading, "_ODD", (0, 1, 1, 1))
     monkeypatch.setattr(Grade, "dot", lambda a, b: (a.a1 & b.a1) | (a.a2 & b.a2))
     report = axiom_report(P)
     assert any(f.identity == "jacobi" for f in report.failures)
     assert report.to_json() == _reference_axiom_report(P)
 
 
+# sha256 of json.dumps(axiom_report(P).to_json(), sort_keys=True) under each
+# planted fault, recorded from the integer-tuple sweep that preceded the
+# GradedMatrix one; the two sweeps share no bracket code.
+_PLANTED_AXIOM_DIGESTS = {
+    ("grade", (1, 1, 1, 1)): "5379c51f62c180eab18cc852c6057f1d48172f9d1a67292a19311b6b06f1d191",
+    ("grade", (1, 0, 1, 1)): "2ba83f860f419001bb8489abed97611775a0c54bed7a73bdb336349e1c9590f3",
+    ("grade", (2, 1, 2, 1)): "e853a14a6a258d7986f1f0226c17be9ee28da5459de18213cdfa0715fc020e97",
+    ("sign", (1, 1, 1, 1)): "ec94c599965b1b2b660e8a6c738595d984422440bcbdf6862c58edded1d5f7a0",
+    ("sign", (1, 0, 1, 1)): "ca5dce83257525382c928f99c5ef17e31b280246bad42834a10ba390333706fd",
+    ("sign", (2, 1, 2, 1)): "9e8a769cc88cfdf4057d4f1ab286906ded6cd1f1fceb33a7b0bfc33824d1a1eb",
+}
+
+
+@pytest.mark.parametrize("fault, blocks", sorted(_PLANTED_AXIOM_DIGESTS))
+def test_axiom_report_planted_faults_match_pinned_digests(monkeypatch, fault, blocks):
+    if fault == "grade":
+        honest = AlgebraParams.index_grade
+        monkeypatch.setattr(
+            AlgebraParams, "index_grade",
+            lambda self, i: Grade(1, 0) if i == 1 else honest(self, i),
+        )
+    else:
+        monkeypatch.setattr(Grade, "dot", lambda a, b: (a.a1 & b.a1) | (a.a2 & b.a2))
+    report = axiom_report(AlgebraParams(*blocks))
+    assert not report.passed
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == _PLANTED_AXIOM_DIGESTS[fault, blocks]
+
+
 def test_axiom_sweep_size_guard(monkeypatch):
     def refuse(*args):
         raise AssertionError("the axiom sweep was started")
 
-    monkeypatch.setattr(grading, "_IntegerBrackets", refuse)
+    monkeypatch.setattr(grading, "_BracketTable", refuse)
     assert 21**6 <= grading.MAX_AXIOM_TRIPLES < 22**6
     P = AlgebraParams(10, 0, 11, 0)
     assert P.size == 22

@@ -117,6 +117,39 @@ def test_entries_and_scalars_must_be_exact():
     assert matrix_unit(0, 1, P) * Fraction(1, 2) == GradedMatrix(P, {(0, 1): Fraction(1, 2)})
 
 
+def test_integral_entries_are_stored_as_int():
+    from zzsl.grading import _BracketTable
+
+    P = AlgebraParams(1, 1, 1, 1)
+    assert matrix_unit(0, 2, P)._entries == {(0, 2): 1}
+    assert type(matrix_unit(0, 2, P)._entries[0, 2]) is int
+    plus, minus = ladder_operators(P, 3, "unnormalized")
+    for op in plus + minus:
+        assert op.nnz and {type(c) for c in op._entries.values()} == {int}
+    # sqrt(1), sqrt(4) on the orthonormal basis are ints; sqrt(2), sqrt(3) are not
+    coeffs = [c for op in ladder_operators(P, 3)[0] for c in op._entries.values()]
+    assert {type(c) for c in coeffs} == {int, RadicalSum}
+    assert all(type(c) is int or c.terms().keys() != {1} for c in coeffs)
+    # a constructed entry is canonicalised; radical arithmetic may leave an
+    # integral RadicalSum, which must behave exactly like its int
+    assert type(GradedMatrix(P, {(0, 0): RadicalSum(Fraction(4, 2))})._entries[0, 0]) is int
+    a = GradedMatrix(P, {(0, 1): RadicalSum.sqrt(2)})
+    b = GradedMatrix(P, {(1, 0): RadicalSum.sqrt(2)})
+    radical, plain = a @ b, GradedMatrix(P, {(0, 0): 2})
+    assert type(radical._entries[0, 0]) is RadicalSum and type(plain._entries[0, 0]) is int
+    assert radical == plain and plain == radical
+    assert hash(frozenset(radical._entries.items())) == hash(frozenset(plain._entries.items()))
+    table = _BracketTable(P)
+    assert table.intern(radical) == table.intern(plain) == 1
+    assert radical.entry(0, 0) == plain.entry(0, 0) == RadicalSum(2)
+    assert type(plain.entry(0, 0)) is RadicalSum and type(plain.entry(1, 1)) is RadicalSum
+    assert radical.items() == plain.items()
+    assert radical.to_json() == plain.to_json()
+    assert (radical - plain).is_zero
+    with pytest.raises(TypeError, match="got float"):
+        GradedMatrix(P, {(0, 0): 2.0})
+
+
 _small = st.integers(min_value=-2, max_value=2)
 
 

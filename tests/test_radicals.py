@@ -71,6 +71,24 @@ def test_reject_floats():
         RadicalSum(0.5)
 
 
+def test_radicands_are_ints_and_coefficients_exact():
+    # a float radicand must not slip in as "2.0", not even after sqrt(2) is cached
+    assert RadicalSum.sqrt(2).to_json() == [{"num": "1", "den": "1", "radicand": "2"}]
+    for bad in (2.0, True, Fraction(2)):
+        with pytest.raises(TypeError, match="radicand must be an int"):
+            RadicalSum.sqrt(bad)
+        with pytest.raises(TypeError, match="radicand must be an int"):
+            RadicalSum.from_terms({bad: 1})
+        with pytest.raises(TypeError, match="radicand must be an int"):
+            normalize_radical(bad)
+    with pytest.raises(TypeError):
+        RadicalSum.sqrt_fraction(0.5)
+    with pytest.raises(TypeError):
+        RadicalSum.from_terms({2: 0.5})
+    assert RadicalSum.sqrt_fraction(Fraction(1, 2)) == RadicalSum.sqrt(2) / 2
+    assert RadicalSum.from_terms({8: Fraction(1, 2)}) == RadicalSum.sqrt(2)
+
+
 def test_reciprocal():
     value = RadicalSum.sqrt(2) * Fraction(3, 4)
     assert value * value.reciprocal() == 1
