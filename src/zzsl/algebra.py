@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .grading import GRADES, AlgebraParams, Grade, GradedMatrix, graded_bracket
 from .linalg import RationalRowSpace, rational_rank
@@ -149,13 +149,12 @@ def relation_report(
     label: str,
     plus: Sequence,
     minus: Sequence,
-    bracket: Callable,
     indices: Sequence[tuple[int, ...]],
 ) -> RelationReport:
     """Check the triple relations of one realization at the given indices.
 
-    ``plus[i - 1]`` and ``minus[i - 1]`` realize a_i^+ and a_i^-, and
-    ``bracket`` is the graded bracket of that realization.  A pair (i, j)
+    ``plus[i - 1]`` and ``minus[i - 1]`` realize a_i^+ and a_i^- (matrix
+    units or Fock operators), bracketed by ``graded_bracket``.  A pair (i, j)
     asks [a_i^+, a_j^+] = 0 (rel1+) and [a_i^-, a_j^-] = 0 (rel1-); a triple
     (i, j, k) compares [[a_i^+, a_j^-], a_k^+] with ``rel2_terms`` (rel2) and
     [[a_i^+, a_j^-], a_k^-] with ``rel3_terms`` (rel3).  Failures keep the
@@ -172,14 +171,14 @@ def relation_report(
         if len(idx) == 2:
             i, j = idx
             for tag, ops in zip(RELATION_TAGS[2], (plus, minus)):
-                record(tag, idx, bracket(ops[i - 1], ops[j - 1]))
+                record(tag, idx, graded_bracket(ops[i - 1], ops[j - 1]))
             continue
         i, j, k = idx
         bij = inner.get((i, j))
         if bij is None:
-            bij = inner[i, j] = bracket(plus[i - 1], minus[j - 1])
+            bij = inner[i, j] = graded_bracket(plus[i - 1], minus[j - 1])
         for tag, ops, terms in zip(RELATION_TAGS[3], (plus, minus), (rel2_terms, rel3_terms)):
-            res = bracket(bij, ops[k - 1])
+            res = graded_bracket(bij, ops[k - 1])
             for coeff, t in terms(params, i, j, k):  # coefficients are +1 or -1
                 res = res - ops[t - 1] if coeff == 1 else res + ops[t - 1]
             record(tag, idx, res)
@@ -196,9 +195,7 @@ def verify_defining_relations(params: AlgebraParams) -> RelationReport:
         [generator_matrix(GeneratorId(i, sign), params) for i in params.operator_indices()]
         for sign in "+-"
     )
-    return relation_report(
-        params, "defining-relations", plus, minus, graded_bracket, sweep_indices(params)
-    )
+    return relation_report(params, "defining-relations", plus, minus, sweep_indices(params))
 
 
 def sl_basis(params: AlgebraParams) -> list[GradedMatrix]:

@@ -8,10 +8,9 @@ anticommutators are both special cases of one operation.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
 
 from .linalg import SparseMatrix
-from .radicals import Rational, RadicalSum
+from .radicals import RadicalSum
 from .reports import AxiomReport, CheckFailure
 
 __all__ = [
@@ -130,27 +129,12 @@ class AlgebraParams:
 class GradedMatrix(SparseMatrix):
     """Square matrix of exact scalars carrying the block grading of its algebra.
 
-    Instances are immutable; only nonzero entries are stored.
+    Built as ``GradedMatrix(params, entries)``; it declares no grade, so its
+    components come from its entries.  Instances are immutable; only nonzero
+    entries are stored.
     """
 
-    __slots__ = ("_comps",)
-    _mismatch = "dimension mismatch: matrices live in different algebras"
-
-    def __init__(
-        self,
-        params: AlgebraParams,
-        entries: Mapping[tuple[int, int], RadicalSum | Rational] | Iterable = (),
-    ) -> None:
-        self._space = params
-        self._comps = None
-        self._validate(entries, params.size)
-
-    def _like(self, entries: dict, other=None, product: bool = False) -> "GradedMatrix":
-        out = object.__new__(GradedMatrix)
-        out._entries = entries
-        out._space = self._space
-        out._col_map = out._comps = None
-        return out
+    __slots__ = ()
 
     @property
     def params(self) -> AlgebraParams:
@@ -169,39 +153,11 @@ class GradedMatrix(SparseMatrix):
 
     # ------------------------------------------------------------ inspection
 
-    def entry_grade(self, i: int, j: int) -> Grade:
-        return self._space.index_grade(i) + self._space.index_grade(j)
-
-    def _components(self) -> list[tuple[Grade, "GradedMatrix"]]:
-        """Nonzero homogeneous components as (grade, matrix) pairs, by grade."""
-        if self._comps is None:
-            buckets: dict[Grade, dict] = {}
-            for (i, j), c in self._entries.items():
-                buckets.setdefault(self.entry_grade(i, j), {})[(i, j)] = c
-            self._comps = sorted(
-                ((g, self._like(e)) for g, e in buckets.items()),
-                key=lambda kv: kv[0].as_tuple(),
-            )
-        return self._comps
-
     def decompose(self) -> dict[Grade, "GradedMatrix"]:
         """Split into the four block-homogeneous components (zeros included)."""
         parts = {g: GradedMatrix.zero(self._space) for g in GRADES}
         parts.update(self._components())
         return parts
-
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self._components()) <= 1
-
-    def homogeneous_grade(self) -> Grade | None:
-        """Grade of a homogeneous matrix; None for zero (which has every grade)."""
-        comps = self._components()
-        if not comps:
-            return None
-        if len(comps) > 1:
-            raise ValueError("matrix is not homogeneous")
-        return comps[0][0]
 
     def supertrace(self) -> RadicalSum:
         """Signed trace: +1 on rows 0..m, -1 on rows m+1..m+n."""
@@ -219,8 +175,9 @@ class GradedMatrix(SparseMatrix):
         return f"GradedMatrix(params={self._space}, nnz={self.nnz})"
 
 
-def graded_bracket(x: GradedMatrix, y: GradedMatrix) -> GradedMatrix:
-    """Graded bracket, extended bilinearly over the component decomposition."""
+def graded_bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
+    """Graded bracket of two matrices on one space (GradedMatrix or Fock
+    operator), extended bilinearly over their homogeneous components."""
     x._check_same(y)
     total = None
     for a, xa in x._components():

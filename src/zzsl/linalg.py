@@ -19,37 +19,50 @@ class SparseMatrix:
     ``entry``, ``items`` and the JSON renderings hand out RadicalSum.  A vector
     is a matrix whose entries all lie in column 0.
 
-    ``_space`` is what the matrix acts on; two operands combine when their
-    spaces are the same object or equal.  A subclass builds its results with
-    ``_like(entries, other=None, product=False)``, which wraps a clean entry
-    dict in the same space (``other`` is the second operand of a sum or, with
-    ``product``, of a product), and words its errors with ``_noun`` and
-    ``_mismatch``.  Instances are immutable.
+    ``_space`` is what the matrix acts on: it has a ``size`` and an
+    ``index_grade(i)``.  Two operands combine when their spaces are the same
+    object or equal.  ``grade`` is an optional declared Z2 x Z2 degree:
+    products add declared grades, a sum keeps one only when both operands
+    share it, and negation, scalar multiples and ``transpose`` keep it.  A
+    matrix without one is graded entry by entry, entry (i, j) having degree
+    ``index_grade(i) + index_grade(j)``.  Instances are immutable.
     """
 
-    __slots__ = ("_entries", "_space", "_col_map")
-    _noun = "matrix"
-    _mismatch = "matrices live in different spaces"
+    __slots__ = ("_entries", "_space", "_col_map", "_comps", "grade")
 
     # ------------------------------------------------------------------ build
 
-    def _validate(self, entries, size: int) -> None:
+    def __init__(self, space, entries=(), grade=None) -> None:
+        size = space.size
         items = entries.items() if hasattr(entries, "items") else entries
         clean: dict[tuple[int, int], int | RadicalSum] = {}
         for (i, j), value in items:
+            if type(i) is not int or type(j) is not int:  # a bool is not an index
+                raise TypeError(f"matrix indices must be integers, got ({i!r},{j!r})")
             if not (0 <= i < size and 0 <= j < size):
-                raise ValueError(f"entry ({i},{j}) outside {size}x{size} {self._noun}")
+                raise ValueError(f"entry ({i},{j}) outside {size}x{size} matrix")
             coeff = exact(value)
             if coeff is None:
                 raise TypeError(f"matrix entries must be exact scalars, got {type(value).__name__}")
             if coeff:
                 clean[(i, j)] = coeff
         self._entries = clean
-        self._col_map = None
+        self._space = space
+        self._col_map = self._comps = None
+        self.grade = grade
+
+    def _like(self, entries: dict, grade=None):
+        """A matrix of the same class and space around a clean entry dict."""
+        out = object.__new__(type(self))
+        out._entries = entries
+        out._space = self._space
+        out._col_map = out._comps = None
+        out.grade = grade
+        return out
 
     @classmethod
-    def zero(cls, space, *extra):
-        return cls(space, {}, *extra)
+    def zero(cls, space, grade=None):
+        return cls(space, {}, grade)
 
     # ------------------------------------------------------------ inspection
 
@@ -75,6 +88,39 @@ class SparseMatrix:
         self._col_map = cols
         return cols
 
+    def _components(self) -> list:
+        """Nonzero homogeneous components as (grade, matrix) pairs, by grade.
+
+        A declared grade is taken as it is; the list is then not cached,
+        since it holds the matrix itself.  Otherwise the entries are split
+        by degree into components that declare none.
+        """
+        if self.grade is not None:
+            return [(self.grade, self)] if self._entries else []
+        if self._comps is None:
+            index_grade = self._space.index_grade
+            buckets: dict = {}
+            for (i, j), c in self._entries.items():
+                buckets.setdefault(index_grade(i) + index_grade(j), {})[(i, j)] = c
+            self._comps = sorted(
+                ((g, self._like(e)) for g, e in buckets.items()),
+                key=lambda kv: kv[0].as_tuple(),
+            )
+        return self._comps
+
+    @property
+    def is_homogeneous(self) -> bool:
+        return len(self._components()) <= 1
+
+    def homogeneous_grade(self):
+        """Grade of a homogeneous matrix; None for zero (which has every grade)."""
+        comps = self._components()
+        if not comps:
+            return None
+        if len(comps) > 1:
+            raise ValueError("matrix is not homogeneous")
+        return comps[0][0]
+
     def _entries_json(self) -> list[dict]:
         return [{"row": i, "col": j, "coeff": c.to_json()} for i, j, c in self.items()]
 
@@ -92,7 +138,7 @@ class SparseMatrix:
         if not isinstance(other, type(self)):
             raise TypeError(f"expected a {type(self).__name__}")
         if self._space != other._space:
-            raise ValueError(self._mismatch)
+            raise ValueError("matrices live in different spaces")
 
     def _merge(self, other: "SparseMatrix", subtract: bool):
         """self + other, or self - other as one signed merge."""
@@ -108,7 +154,8 @@ class SparseMatrix:
                 acc[key] = new
             else:
                 del acc[key]
-        return self._like(acc, other)
+        grade = self.grade
+        return self._like(acc, grade if grade == other.grade else None)
 
     def __add__(self, other):
         return self._merge(other, False)
@@ -117,15 +164,15 @@ class SparseMatrix:
         return self._merge(other, True)
 
     def __neg__(self):
-        return self._like({k: -c for k, c in self._entries.items()})
+        return self._like({k: -c for k, c in self._entries.items()}, self.grade)
 
     def __mul__(self, scalar):
         scalar = exact(scalar)
         if scalar is None:
             return NotImplemented
         if not scalar:
-            return self._like({})
-        return self._like({k: c * scalar for k, c in self._entries.items()})
+            return self._like({}, self.grade)
+        return self._like({k: c * scalar for k, c in self._entries.items()}, self.grade)
 
     __rmul__ = __mul__
 
@@ -153,10 +200,11 @@ class SparseMatrix:
                     acc[key] = new
                 else:
                     del acc[key]
-        return self._like(acc, other, True)
+        a, b = self.grade, other.grade
+        return self._like(acc, None if a is None or b is None else a + b)
 
     def transpose(self):
-        return self._like({(j, i): c for (i, j), c in self._entries.items()})
+        return self._like({(j, i): c for (i, j), c in self._entries.items()}, self.grade)
 
 
 class RationalRowSpace:

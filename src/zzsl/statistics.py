@@ -23,7 +23,7 @@ from .fock import (
     enumerate_basis,
     ladder_operators,
 )
-from .grading import AlgebraParams, Grade
+from .grading import AlgebraParams, Grade, graded_bracket
 from .radicals import RadicalSum, Rational
 from .reports import OccupancyReport, RelationFailure, RelationReport, RepresentationReport
 
@@ -129,9 +129,7 @@ def relation_suite(
     indices = _family_indices(family, params)
     if representation is None:
         plus, minus = ladder_operators(params, p, basis_kind)
-        failures = relation_report(
-            params, family, plus, minus, SparseOperator.graded_bracket, indices
-        ).failures
+        failures = relation_report(params, family, plus, minus, indices).failures
     else:
         if (representation.params, representation.p, representation.variant) != (
             params.as_tuple(), p, FT_CORRECTED.label
@@ -189,8 +187,8 @@ def _build_hamiltonian(
     m = params.m
     for pos, eps in enumerate(epsilons):
         if reading == "graded":
-            term = plus[pos].graded_bracket(minus[pos]) + plus[pos + m].graded_bracket(
-                minus[pos + m]
+            term = graded_bracket(plus[pos], minus[pos]) + graded_bracket(
+                plus[pos + m], minus[pos + m]
             )
         else:
             # [a+, a-] + {a+, a-} = 2 a+ a-

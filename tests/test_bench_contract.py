@@ -2,14 +2,17 @@
 attribute path, so every such name must resolve, and it clears the caches it
 finds before each operation, so every cache must be one it can find.  Its
 f-tilde discrimination operations must also match their recorded digests,
-which pin the failure records of the theta-slot variants."""
+which pin the failure records of the theta-slot variants, and its own
+self-test (``python3 -m unittest discover -s perfbench -p "test_*.py"``)
+must pass."""
 
 import json
+import subprocess
 import sys
 from pathlib import Path
 
 import zzsl.cli  # noqa: F401  (loads every zzsl module the tracer names)
-from zzsl import fock
+from zzsl import statistics
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 sys.path.insert(0, str(PERFBENCH))
@@ -32,14 +35,14 @@ def test_every_traced_name_resolves():
 
 
 def test_cleared_caches_make_a_command_cold(monkeypatch, tmp_path):
-    honest = fock.SparseOperator.graded_bracket
+    honest = statistics.graded_bracket
     calls = []
 
-    def counted(self, other):
+    def counted(x, y):
         calls.append(1)
-        return honest(self, other)
+        return honest(x, y)
 
-    monkeypatch.setattr(fock.SparseOperator, "graded_bracket", counted)
+    monkeypatch.setattr(statistics, "graded_bracket", counted)
     argv = [
         "spectrum", "--params", "1,1,1,1", "--p", "2", "--eps", "1,3/2",
         "--format", "json", "--output", str(tmp_path / "out.json"),
@@ -66,3 +69,11 @@ def test_discrimination_operations_match_the_benchmark_digests(tmp_path):
         name = grids.op_key(op)
         _, problems = operations.check(op, outcome, expected["digests"][name], keys)
         assert not problems, (name, problems)
+
+
+def test_benchmark_self_test_passes():
+    done = subprocess.run(
+        [sys.executable, "-m", "unittest", "discover", "-s", str(PERFBENCH), "-p", "test_*.py"],
+        cwd=PERFBENCH.parent, capture_output=True, text=True, timeout=300,
+    )
+    assert done.returncode == 0, done.stderr[-2000:]

@@ -20,6 +20,7 @@ from zzsl import (
     ft_variant_discrimination,
     ft_variants,
     generator_ids,
+    graded_bracket,
     ladder_operators,
     norm_factor,
     operator_matrix,
@@ -263,7 +264,7 @@ def test_number_operator_identity():
     basis = enumerate_basis(P, p)
     plus, minus = ladder_operators(P, p)
     for i in range(1, 5):
-        bracket = minus[i - 1].graded_bracket(plus[i - 1])
+        bracket = graded_bracket(minus[i - 1], plus[i - 1])
         assert bracket.is_diagonal
         d = P.index_grade(i)
         sign = 1 if d.dot(d) == 0 else -1
@@ -459,6 +460,86 @@ def test_vacuum_suite_sees_a_lowering_leak(monkeypatch, index):
     assert all(suite["failures"] for suite in payload)
     got = hashlib.sha256(json.dumps(payload).encode()).hexdigest()
     assert got == _LEAK_DIGESTS[index]
+
+
+# Planted faults in the ladder rule, one part of it each.  A fault maps
+# (gid, params, p, basis_kind, occ, R, term) to the term the faulty rule
+# gives, where term is the honest ``(coefficient, target)`` or None.
+
+
+def _drop_l_sign(gid, params, p, kind, occ, R, term):
+    """Fermionic sign without its (-1)**(sum l) factor."""
+    if term is None or gid.index <= params.m or not sum(occ[params.m1 : params.m]) % 2:
+        return term
+    return term[0] * -1, term[1]
+
+
+def _raising_weight(gid, params, p, kind, occ, R, term):
+    """Orthonormal a_1^+ with weight occ+2 in place of occ+1 under the root."""
+    if term is None or kind != "orthonormal" or gid != GeneratorId(1, "+"):
+        return term
+    return term[0] * RadicalSum.sqrt_fraction(Fraction(occ[0] + 2, occ[0] + 1)), term[1]
+
+
+def _wrong_slot(gid, params, p, kind, occ, R, term):
+    """a_1^+ raises the occupation of orbital 2 in place of orbital 1."""
+    if term is None or gid != GeneratorId(1, "+"):
+        return term
+    return term[0], occ[:1] + (occ[1] + 1,) + occ[2:]
+
+
+def _early_quotient(gid, params, p, kind, occ, R, term):
+    """Raising drops its term one quantum below the cap, at R = p - 1 too."""
+    return None if gid.sign == "+" and R >= p - 1 else term
+
+
+def _lowering_without_room(gid, params, p, kind, occ, R, term):
+    """Unnormalized lowering by sign*weight, without the room factor p-R+1."""
+    if term is None or kind != "unnormalized" or gid.sign != "-":
+        return term
+    return term[0] // (p - R + 1), term[1]
+
+
+def _faulty_rule(fault):
+    honest = fock._ladder_rule
+
+    def rule(gid, params, p, basis_kind, ft_variant):
+        act = honest(gid, params, p, basis_kind, ft_variant)
+        return lambda occ, R: fault(gid, params, p, basis_kind, occ, R, act(occ, R))
+
+    return rule
+
+
+# sha256 of the JSON of verify_representation((1,1,1,1), 2) under each fault,
+# recorded before the grade moved into the sparse kernel.
+_RULE_FAULT_DIGESTS = {
+    "sign": "c7dc846e884d76be7b798cfbac9744fc49932ae3b7a3fb31293130d5f80f6cb3",
+    "weight": "ef829d9cf79e3cddfeaca5f90b431d2fe95ed5a08567299167c149b6c2ecfe26",
+    "slot": "9a4ab8189e8350491f6bd683e885c79d5422e116545b12cc7e29fff9947f5c43",
+    "quotient": "f23ef7950e3c53936a6db764482ef31144b07ded7a5fbcfa69d3ba2f93478ce7",
+    "lowering-factor": "30ff73b0dd44d1fac9da2b8d79e08ca147112f699d591d5c879072e42c08df9a",
+}
+_RULE_FAULTS = {
+    "sign": _drop_l_sign,
+    "weight": _raising_weight,
+    "slot": _wrong_slot,
+    "quotient": _early_quotient,
+    "lowering-factor": _lowering_without_room,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_FAULTS))
+def test_every_part_of_the_ladder_rule_is_checked(monkeypatch, name):
+    monkeypatch.setattr(fock, "_ladder_rule", _faulty_rule(_RULE_FAULTS[name]))
+    ladder_operators.cache_clear()
+    try:
+        rep = verify_representation(AlgebraParams(1, 1, 1, 1), 2)
+    finally:
+        ladder_operators.cache_clear()
+    assert not rep.passed
+    assert rep.first_relation_failure is not None
+    got = hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest()
+    assert got == _RULE_FAULT_DIGESTS[name]
 
 
 def test_operator_json_format():

@@ -178,9 +178,12 @@ def test_symmetry_and_grading_and_supertrace_of_brackets():
 
 
 def test_axiom_report_passes():
-    rank_four = [b for b in itertools.product(range(5), repeat=4) if sum(b) == 4]
-    assert len(rank_four) == 35
-    for blocks in [(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 1), *rank_four]:
+    rank_four, rank_five = (
+        [b for b in itertools.product(range(total + 1), repeat=4) if sum(b) == total]
+        for total in (4, 5)
+    )
+    assert (len(rank_four), len(rank_five)) == (35, 56)
+    for blocks in [(0, 0, 0, 0), (1, 0, 1, 0), (0, 1, 1, 1), *rank_four, *rank_five]:
         P = AlgebraParams(*blocks)
         report = axiom_report(P)
         n = P.size

@@ -1,6 +1,7 @@
 """Exact row spaces over the rationals (rank, membership, shape checks) and
-the signed merge of the shared sparse-matrix kernel."""
+the shared sparse-matrix kernel: signed merge, index checks, grade rule."""
 
+import gc
 from fractions import Fraction
 
 import pytest
@@ -9,9 +10,12 @@ from hypothesis import strategies as st
 
 from zzsl import (
     AlgebraParams,
+    Grade,
     GradedMatrix,
     RadicalSum,
     RationalRowSpace,
+    SparseOperator,
+    enumerate_basis,
     graded_bracket,
     ladder_operators,
     matrix_unit,
@@ -115,6 +119,55 @@ def test_entries_and_scalars_must_be_exact():
     with pytest.raises(TypeError):
         matrix_unit(0, 1, P) * 0.5
     assert matrix_unit(0, 1, P) * Fraction(1, 2) == GradedMatrix(P, {(0, 1): Fraction(1, 2)})
+
+
+def test_indices_must_be_ints():
+    P = AlgebraParams(1, 0, 1, 0)
+    basis = enumerate_basis(P, 1)
+    for bad in [(True, 0), (0, False), (0, 1.0), (Fraction(1), 0)]:
+        with pytest.raises(TypeError, match="matrix indices must be integers"):
+            GradedMatrix(P, {bad: 1})
+        with pytest.raises(TypeError, match="matrix indices must be integers"):
+            SparseOperator(basis, {bad: 1})
+    assert GradedMatrix(P, {(1, 0): 1}).to_json()["entries"][0]["row"] == 1
+
+
+def test_declared_grades_propagate_and_sums_of_two_grades_drop_them():
+    P = AlgebraParams(1, 1, 1, 1)
+    plus, minus = ladder_operators(P, 2)
+    b, f = plus[0], plus[2]  # grades (0,0) and (1,0)
+    assert (b.grade, f.grade) == (Grade(0, 0), Grade(1, 0))
+    assert (b @ f).grade == (f + f).grade == (-f).grade == (f * 3).grade == Grade(1, 0)
+    assert f.transpose().grade == Grade(1, 0)
+    mixed, other = b + f, minus[1] + minus[3]  # grades (1,1) and (0,1) in other
+    assert mixed.grade is other.grade is None
+    with pytest.raises(ValueError, match="not homogeneous"):
+        mixed.homogeneous_grade()
+    # graded entry by entry, the sums split back into the ladder operators
+    expected = [graded_bracket(x, y) for x in (b, f) for y in (minus[1], minus[3])]
+    assert graded_bracket(mixed, other) == sum(expected[1:], expected[0])
+    assert graded_bracket(mixed, minus[3]) == expected[1] + expected[3]
+
+
+def test_brackets_leave_no_reference_cycles():
+    P = AlgebraParams(1, 1, 1, 1)
+    plus, minus = ladder_operators(P, 2)
+    unit = matrix_unit(0, 3, P)
+    gc.collect()
+    gc.disable()
+    try:
+        results = []
+        for up in plus:
+            for down in minus:
+                inner = graded_bracket(up, down)
+                results.append(graded_bracket(inner, up))
+                inner.homogeneous_grade()
+        mixed = matrix_unit(0, 1, P) + matrix_unit(3, 0, P)
+        results.append(graded_bracket(graded_bracket(mixed, unit), mixed))
+        del results, inner, mixed
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_integral_entries_are_stored_as_int():
