@@ -30,6 +30,7 @@ from zzsl import (
     verify_representation,
 )
 from zzsl import fock
+from zzsl.algebra import relation_report, sweep_indices
 from zzsl.fock import BASIS_KINDS, MAX_BASIS_DIMENSION
 
 
@@ -240,6 +241,14 @@ def test_nilpotency():
         assert (up ** (p + 1)).is_zero
 
 
+def test_power_takes_positive_int_exponents_only():
+    up = operator_matrix(GeneratorId(1, "+"), AlgebraParams(1, 0, 1, 0), 1)
+    assert up ** 1 == up
+    for bad in (True, False, 0, -1, 1.0, Fraction(1)):
+        with pytest.raises(ValueError):
+            up ** bad
+
+
 def test_quotient_consistency():
     # conjugating the integer matrices by the norm-factor diagonal gives the
     # orthonormal matrices entry by entry
@@ -255,6 +264,7 @@ def test_quotient_consistency():
                 for row, col, coeff in plain.items():
                     expected = factors[col] * coeff * factors[row].reciprocal()
                     assert ortho.entry(row, col) == expected
+        assert fock._orthonormal_is_conjugate(P, p)
 
 
 def test_number_operator_identity():
@@ -294,6 +304,18 @@ def test_verify_representation_passes():
 def test_verify_classical_subcase():
     # n2 = m2 = 0 reduces to the ordinary superalgebra Fock module
     assert verify_representation(AlgebraParams(2, 0, 2, 0), 2).passed
+
+
+def test_every_module_up_to_four_orbitals_and_order_five_verifies():
+    compositions = list(small_sweep(4))
+    assert len(compositions) == 70
+    failing = [
+        (P.as_tuple(), p)
+        for P in compositions
+        for p in range(1, 6)
+        if not verify_representation(P, p).passed
+    ]
+    assert failing == []
 
 
 def test_spanning_rank_equals_dimension():
@@ -552,3 +574,73 @@ def test_operator_json_format():
     assert data["entries"] == [{"row": 2, "col": 0, "coeff": [
         {"num": "1", "den": "1", "radicand": "1"}
     ]}]
+
+
+# ------------------------------------------- orthonormal sweep by conjugation
+
+
+def _full_orthonormal_sweep(P, p):
+    plus, minus = ladder_operators(P, p, "orthonormal")
+    return relation_report(P, "relations-orthonormal", plus, minus, sweep_indices(P))
+
+
+def test_orthonormal_sweep_equals_the_direct_sweep():
+    points = [(P, p) for P in small_sweep(3) for p in (1, 2, 3)]
+    for P, p in points + [(AlgebraParams(1, 1, 1, 1), 4)]:
+        got = verify_representation(P, p).suite("relations-orthonormal")
+        assert got.to_json() == _full_orthonormal_sweep(P, p).to_json()
+
+
+def _double_one_entry(honest):
+    """Double the first entry of orthonormal a_1^+ and leave its
+    unnormalized partner as it is."""
+
+    def planted(gid, params, p, basis_kind="orthonormal", ft_variant=FT_CORRECTED):
+        op = honest(gid, params, p, basis_kind, ft_variant)
+        if basis_kind != "orthonormal" or gid != GeneratorId(1, "+"):
+            return op
+        entries = {(row, col): c for row, col, c in op.items()}
+        first = min(entries)
+        entries[first] = entries[first] * 2
+        return fock.SparseOperator(op.basis, entries, op.grade)
+
+    return planted
+
+
+def test_an_orthonormal_only_fault_runs_the_full_sweep(monkeypatch):
+    P, p = AlgebraParams(1, 1, 1, 1), 2
+    monkeypatch.setattr(fock, "operator_matrix", _double_one_entry(fock.operator_matrix))
+    honest_report, swept = fock.relation_report, []
+
+    def spy(params, label, plus, minus, indices):
+        swept.append((label, len(indices)))
+        return honest_report(params, label, plus, minus, indices)
+
+    monkeypatch.setattr(fock, "relation_report", spy)
+    ladder_operators.cache_clear()
+    try:
+        assert not fock._orthonormal_is_conjugate(P, p)
+        rep = verify_representation(P, p)
+    finally:
+        ladder_operators.cache_clear()
+    full = len(sweep_indices(P))
+    assert swept == [("relations-unnormalized", full), ("relations-orthonormal", full)]
+    assert rep.suite("relations-unnormalized").passed
+    label, failure = rep.first_relation_failure
+    assert label == "relations-orthonormal"
+    assert (failure.relation, failure.indices) == ("rel1+", (1, 2))
+
+
+@pytest.mark.parametrize("name", ["quotient", "sign"])
+def test_a_fault_in_both_kinds_keeps_the_shortcut_exact(monkeypatch, name):
+    P, p = AlgebraParams(1, 1, 1, 1), 2
+    monkeypatch.setattr(fock, "_ladder_rule", _faulty_rule(_RULE_FAULTS[name]))
+    ladder_operators.cache_clear()
+    try:
+        assert fock._orthonormal_is_conjugate(P, p)
+        got = verify_representation(P, p).suite("relations-orthonormal")
+        forced = _full_orthonormal_sweep(P, p)
+    finally:
+        ladder_operators.cache_clear()
+    assert got.failures
+    assert got.to_json() == forced.to_json()
