@@ -24,7 +24,6 @@ from .fock import (
     FockState,
     FTildeVariant,
     SparseOperator,
-    apply_generator,
     closed_form_dimension,
     dimension,
     enumerate_basis,
@@ -45,8 +44,6 @@ from .grading import (
     GradedMatrix,
     axiom_report,
     graded_bracket,
-    jacobi_residual,
-    supertrace,
 )
 from .linalg import RationalRowSpace, rational_rank
 from .radicals import RadicalSum, normalize_radical
@@ -80,7 +77,6 @@ __all__ = [
     "RadicalSum",
     "RationalRowSpace",
     "SparseOperator",
-    "apply_generator",
     "axiom_report",
     "closed_form_dimension",
     "dimension",
@@ -92,7 +88,6 @@ __all__ = [
     "generator_matrix",
     "graded_bracket",
     "hamiltonian",
-    "jacobi_residual",
     "ladder_operators",
     "ladder_residual",
     "matrix_unit",
@@ -108,7 +103,6 @@ __all__ = [
     "sl_basis_rank",
     "spanning_rank",
     "spectrum",
-    "supertrace",
     "verify_defining_relations",
     "verify_representation",
 ]

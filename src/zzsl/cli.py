@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from .algebra import generator_ids, verify_defining_relations
 from .fock import (
-    _check_order, closed_form_dimension, dimension, enumerate_basis, operator_matrix,
+    _check_order_range, closed_form_dimension, dimension, enumerate_basis, operator_matrix,
     verify_representation,
 )
 from .grading import AlgebraParams, axiom_report
@@ -125,7 +125,7 @@ def _suite_json(name: str, checked: int, failures) -> dict:
 
 
 def _verify_suites(params: AlgebraParams, p_lo: int, p_hi: int) -> list[dict]:
-    _check_order(params, p_hi)  # the largest module of the range, before any work
+    _check_order_range(params, p_lo, p_hi)  # before any work
     axioms = axiom_report(params)
     defining = verify_defining_relations(params)
     suites = [
@@ -181,7 +181,7 @@ def _single_order(ns: argparse.Namespace) -> int:
 
 def _cmd_dim(ns: argparse.Namespace) -> int:
     p_lo, p_hi = ns.p
-    _check_order(ns.params, p_hi)
+    _check_order_range(ns.params, p_lo, p_hi)
     rows = []
     for p in range(p_lo, p_hi + 1):
         counted = dimension(ns.params, p)

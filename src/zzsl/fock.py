@@ -49,7 +49,6 @@ __all__ = [
     "closed_form_dimension",
     "norm_factor",
     "single_quantum_state",
-    "apply_generator",
     "operator_matrix",
     "ladder_operators",
     "verify_representation",
@@ -77,6 +76,12 @@ class FTildeVariant:
     the f-tilde pair, where a lambda-slot and a theta-slot reading both parse.
     Only the lambda/lambda combination satisfies the defining relations; the
     others are kept so the verifier can demonstrate the discrimination.
+
+    A theta-slot f-tilde operator still declares its generator's grade,
+    although its entries, which put a quantum into a theta slot, carry
+    another degree.  The discrimination brackets it with that declared sign,
+    and the discrimination digests in ``perfbench/expected.json`` (and in
+    ``tests/``) pin the failure records that sign gives.
     """
 
     plus_slot: str = "lambda"
@@ -139,9 +144,6 @@ class FockState:
 
     def occupations(self) -> tuple[int, ...]:
         return self.r + self.l + self.theta + self.lam
-
-    def params(self) -> AlgebraParams:
-        return AlgebraParams(len(self.r), len(self.l), len(self.theta), len(self.lam))
 
     def occupation(self, index: int, params: AlgebraParams) -> int:
         """Occupation of the orbital of operator index (1-based)."""
@@ -285,6 +287,29 @@ def closed_form_dimension(params: AlgebraParams, p: int) -> int:
     return sum(comb(n, k) * comb(p - k + m, m) for k in range(min(n, p) + 1))
 
 
+def _check_order_range(params: AlgebraParams, lo: int, hi: int) -> None:
+    """Reject an order range before any work: at its top module first
+    (``_check_order``), then when its modules, which the ``enumerate_basis``
+    cache may hold all at once, exceed ``MAX_BASIS_DIMENSION`` states in all.
+
+    The sum of ``closed_form_dimension`` over p = lo..hi takes O(n) terms
+    whatever the length of the range: for k fermions the bosonic counts
+    C(j+m, m), j = p-k, telescope by the hockey-stick identity
+    sum_{j<=b} C(j+m, m) = C(b+m+1, m+1).
+    """
+    _check_order(params, hi)
+    m, n = params.m, params.n
+    total = sum(
+        comb(n, k) * (comb(hi - k + m + 1, m + 1) - comb(max(lo - k, 0) + m, m + 1))
+        for k in range(min(n, hi) + 1)
+    )
+    if total > MAX_BASIS_DIMENSION:
+        raise ValueError(
+            f"Fock modules of orders {lo}..{hi} for {params.as_tuple()} have {total} states "
+            f"in all, above the enumeration limit {MAX_BASIS_DIMENSION}"
+        )
+
+
 def norm_factor(state: FockState, p: int) -> RadicalSum:
     """Scalar relating the unnormalized monomial vector to the unit vector."""
     _check_positive(p)
@@ -319,6 +344,17 @@ def _ladder_rule(
     writes theta_k with ``delta = +1``, and has no term when theta_k does not
     exist.  The returned ``act(occ, R)`` gives ``(coefficient, target)`` for
     the flat occupation tuple ``occ`` of total ``R``, or None.
+
+    With ``occ`` the occupation of the operator's orbital and R the total,
+    raising has weight occ+1 (even orbital) or 1-occ (odd orbital) and room
+    p-R; lowering has weight occ and room p-R+1.  The term is dropped when
+    the weight or the room is 0, or when the target breaks the Pauli bounds
+    (odd occupations at most 1, total at most p).  The orthonormal
+    coefficient is sign*sqrt(weight*room); the unnormalized one, the integer
+    conjugate, is sign when raising and sign*weight*room when lowering.  The
+    sign, on the odd orbitals only, is (-1)**(sum l) times (-1)**(own-family
+    prefix before the orbital): the quanta the operator passes in the fixed
+    monomial order.
     """
     _check_kind(basis_kind)
     if basis_kind == "unnormalized" and ft_variant != FT_CORRECTED:
@@ -356,39 +392,6 @@ def _ladder_rule(
         return coeff, occ[:write] + (new,) + occ[write + 1 :]
 
     return act
-
-
-def apply_generator(
-    gid: GeneratorId,
-    state: FockState,
-    p: int,
-    basis_kind: str = "orthonormal",
-    ft_variant: FTildeVariant = FT_CORRECTED,
-) -> list[tuple[RadicalSum, FockState]]:
-    """Action of one ladder generator on one basis state.
-
-    With ``occ`` the occupation of the operator's orbital and R the total,
-    raising has weight occ+1 (even orbital) or 1-occ (odd orbital) and room
-    p-R; lowering has weight occ and room p-R+1.  The term is dropped when
-    the weight or the room is 0, or when the target breaks the Pauli bounds
-    (odd occupations at most 1, total at most p).  The orthonormal
-    coefficient is sign*sqrt(weight*room); the unnormalized one, the integer
-    conjugate, is sign when raising and sign*weight*room when lowering.  The
-    sign, on the odd orbitals only, is (-1)**(sum l) times (-1)**(own-family
-    prefix before the orbital): the quanta the operator passes in the fixed
-    monomial order.
-
-    Returns at most one term; the empty list encodes the zero vector.
-    """
-    params = state.params()
-    act = _ladder_rule(gid, params, p, basis_kind, ft_variant)
-    R = state.total
-    if R > p:
-        raise ValueError(f"state with total {R} is inadmissible at order {p}")
-    term = act(state.occupations(), R)
-    if term is None:
-        return []
-    return [(RadicalSum._coerce(term[0]), FockState.from_occupations(params, term[1]))]
 
 
 class SparseOperator(SparseMatrix):
@@ -434,9 +437,6 @@ class SparseOperator(SparseMatrix):
 
     def commutator(self, other: "SparseOperator") -> "SparseOperator":
         return self @ other - other @ self
-
-    def anticommutator(self, other: "SparseOperator") -> "SparseOperator":
-        return self @ other + other @ self
 
     def to_json(self) -> dict:
         return {

@@ -19,8 +19,6 @@ __all__ = [
     "AlgebraParams",
     "GradedMatrix",
     "graded_bracket",
-    "supertrace",
-    "jacobi_residual",
     "axiom_report",
     "MAX_AXIOM_TRIPLES",
 ]
@@ -143,21 +141,11 @@ class GradedMatrix(SparseMatrix):
     # ------------------------------------------------------------------ build
 
     @classmethod
-    def identity(cls, params: AlgebraParams) -> "GradedMatrix":
-        return cls(params, {(i, i): 1 for i in params.indices()})
-
-    @classmethod
     def unit(cls, params: AlgebraParams, i: int, j: int) -> "GradedMatrix":
         """Matrix unit with a single 1 in row i, column j."""
         return cls(params, {(i, j): 1})
 
     # ------------------------------------------------------------ inspection
-
-    def decompose(self) -> dict[Grade, "GradedMatrix"]:
-        """Split into the four block-homogeneous components (zeros included)."""
-        parts = {g: GradedMatrix.zero(self._space) for g in GRADES}
-        parts.update(self._components())
-        return parts
 
     def supertrace(self) -> RadicalSum:
         """Signed trace: +1 on rows 0..m, -1 on rows m+1..m+n."""
@@ -186,28 +174,6 @@ def graded_bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
             term = xa @ yb + yb @ xa if a.dot(b) else xa @ yb - yb @ xa
             total = term if total is None else total + term
     return x._like({}) if total is None else total
-
-
-def supertrace(matrix: GradedMatrix) -> RadicalSum:
-    return matrix.supertrace()
-
-
-def jacobi_residual(x: GradedMatrix, y: GradedMatrix, z: GradedMatrix) -> GradedMatrix:
-    """[[x,[y,z]]] - [[[x,y],z]] - (-1)**(a.b) [[y,[x,z]]] for homogeneous inputs.
-
-    The identity holds iff the result is the zero matrix.  Zero inputs are
-    accepted with any grade, which leaves the residual zero regardless of
-    the sign chosen.
-    """
-    a = x.homogeneous_grade()
-    b = y.homogeneous_grade()
-    z.homogeneous_grade()  # enforce the precondition on z as well
-    sign = a.sign(b) if a is not None and b is not None else 1
-    term1 = graded_bracket(x, graded_bracket(y, z))
-    term2 = graded_bracket(graded_bracket(x, y), z)
-    term3 = graded_bracket(y, graded_bracket(x, z))
-    result = term1 - term2
-    return result - term3 if sign == 1 else result + term3
 
 
 class _BracketTable(dict):

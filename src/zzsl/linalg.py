@@ -108,10 +108,6 @@ class SparseMatrix:
             )
         return self._comps
 
-    @property
-    def is_homogeneous(self) -> bool:
-        return len(self._components()) <= 1
-
     def homogeneous_grade(self):
         """Grade of a homogeneous matrix; None for zero (which has every grade)."""
         comps = self._components()
@@ -268,9 +264,6 @@ class RationalRowSpace:
         self._rows.append({col: c * inv for col, c in v.items()})
         self._pivots.append(pivot)
         return True
-
-    def contains(self, vector: Mapping) -> bool:
-        return not self._reduce(vector)
 
 
 def rational_rank(vectors: Iterable[Mapping], width: int) -> int:

@@ -10,11 +10,10 @@ by the package; nothing downstream ever touches floating point.
 
 from __future__ import annotations
 
-import decimal
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt
-from typing import Iterable, Mapping, Union
+from math import gcd
+from typing import Union
 
 __all__ = ["Rational", "normalize_radical", "RadicalSum", "exact"]
 
@@ -87,26 +86,6 @@ class RadicalSum:
         out = cls.__new__(cls)
         out._terms = terms
         return out
-
-    @classmethod
-    def from_terms(
-        cls, terms: Mapping[int, Rational] | Iterable[tuple[int, Rational]]
-    ) -> "RadicalSum":
-        """Build from (radicand, coefficient) pairs, canonicalizing radicands."""
-        items = terms.items() if isinstance(terms, Mapping) else terms
-        acc: dict[int, Rational] = {}
-        for radicand, coeff in items:
-            _check_rational(coeff)
-            outer, sf = normalize_radical(radicand)
-            q = Fraction(coeff) * outer
-            if sf == 0 or not q:
-                continue
-            new = acc.get(sf, 0) + q
-            if new:
-                acc[sf] = _canon(new)
-            else:
-                acc.pop(sf, None)
-        return cls._raw(acc)
 
     @classmethod
     def sqrt(cls, n: int) -> "RadicalSum":
@@ -221,15 +200,6 @@ class RadicalSum:
             return self * (Fraction(1) / Fraction(other))
         return NotImplemented
 
-    def reciprocal(self) -> "RadicalSum":
-        """Exact inverse; defined only for single-term values q*sqrt(s)."""
-        if not self._terms:
-            raise ZeroDivisionError("zero has no reciprocal")
-        if len(self._terms) > 1:
-            raise ValueError("reciprocal requires a single-term value")
-        ((s, q),) = self._terms.items()
-        return RadicalSum._raw({s: _canon(Fraction(1, q * s))})
-
     # ------------------------------------------------------------ comparison
 
     def __eq__(self, other) -> bool:
@@ -249,35 +219,11 @@ class RadicalSum:
 
     # ------------------------------------------------------------- rendering
 
-    def to_float(self, digits: int) -> str:
-        """Decimal approximation to ``digits`` significant digits (display only)."""
-        if digits < 1:
-            raise ValueError("digits must be >= 1")
-        if not self._terms:
-            return "0"
-        guard = digits + 15
-        scale = 10**guard
-        total = _F0
-        for s, q in self._terms.items():
-            total += q * isqrt(s * scale * scale)
-        total /= scale
-        with decimal.localcontext() as ctx:
-            ctx.prec = digits
-            approx = decimal.Decimal(total.numerator) / decimal.Decimal(total.denominator)
-        return str(approx)
-
     def to_json(self) -> list[dict[str, str]]:
         return [
             {"num": str(q.numerator), "den": str(q.denominator), "radicand": str(s)}
             for s, q in sorted(self._terms.items())
         ]
-
-    @classmethod
-    def from_json(cls, data: Iterable[Mapping[str, str]]) -> "RadicalSum":
-        return cls.from_terms(
-            (int(term["radicand"]), Fraction(int(term["num"]), int(term["den"])))
-            for term in data
-        )
 
     def __str__(self) -> str:
         if not self._terms:

@@ -14,7 +14,6 @@ from zzsl import (
     matrix_unit,
     sl_basis,
     sl_basis_rank,
-    supertrace,
     verify_defining_relations,
 )
 
@@ -112,7 +111,7 @@ def test_sl_basis():
     basis = sl_basis(P)
     assert len(basis) == P.size**2 - 1 == 24
     for m in basis:
-        assert supertrace(m).is_zero
+        assert m.supertrace().is_zero
     assert sl_basis_rank(P) == 24
 
 

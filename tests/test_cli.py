@@ -4,6 +4,7 @@ import contextlib
 import io
 import json
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -242,6 +243,50 @@ def test_order_range_is_checked_at_its_top_first(monkeypatch, capsys, command):
         f"error: Fock module of order 2000 for (1, 1, 1, 1) has dimension {expected}, "
         f"above the enumeration limit {fock.MAX_BASIS_DIMENSION}\n"
     )
+
+
+@pytest.mark.parametrize("argv, total", [
+    (["dim", "--params", "0,0,0,0", "--p", "1..1000000000000"], 10**12),
+    (["dim", "--params", "0,0,1,1", "--p", "1..100000000000"], 4 * 10**11 - 1),
+    (["verify", "--params", "0,0,0,0", "--p", "1..100000000"], 10**8),
+    # top module 982,101 states, under the limit; 1,400 modules together are not
+    (["dim", "--params", "2,0,0,0", "--p", "1..1400"], 459295900),
+])
+def test_order_range_is_checked_by_its_summed_dimension(monkeypatch, capsys, argv, total):
+    from zzsl import grading
+
+    def refuse(*args):
+        raise AssertionError("work started before the range was checked")
+
+    monkeypatch.setattr(fock, "_counts", refuse)
+    monkeypatch.setattr(fock, "_bits", refuse)
+    monkeypatch.setattr(grading, "_BracketTable", refuse)
+    fock.enumerate_basis.cache_clear()
+    start = time.perf_counter()
+    code, out, err = run(argv, capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    params, p_range = argv[2], argv[4]
+    assert err == (
+        f"error: Fock modules of orders {p_range} for ({params.replace(',', ', ')}) have "
+        f"{total} states in all, above the enumeration limit {fock.MAX_BASIS_DIMENSION}\n"
+    )
+
+
+def test_range_limit_is_the_exact_sum_of_module_dimensions(monkeypatch):
+    # the hockey-stick total against a plain sum of closed-form dimensions;
+    # with two modules or more the top one alone stays under the limit
+    for blocks in [(0, 0, 0, 0), (1, 0, 0, 0), (0, 0, 2, 1), (1, 1, 1, 1), (2, 1, 3, 0)]:
+        params = fock.AlgebraParams(*blocks)
+        for lo in range(1, 6):
+            for hi in range(lo + 1, 7):
+                total = sum(fock.closed_form_dimension(params, p) for p in range(lo, hi + 1))
+                monkeypatch.setattr(fock, "MAX_BASIS_DIMENSION", total)
+                fock._check_order_range(params, lo, hi)
+                monkeypatch.setattr(fock, "MAX_BASIS_DIMENSION", total - 1)
+                with pytest.raises(ValueError, match=f" have {total} states in all"):
+                    fock._check_order_range(params, lo, hi)
 
 
 def test_oversized_algebra_is_rejected_before_the_axiom_sweep(monkeypatch, capsys):

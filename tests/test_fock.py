@@ -13,7 +13,6 @@ from zzsl import (
     FTildeVariant,
     GeneratorId,
     RadicalSum,
-    apply_generator,
     closed_form_dimension,
     dimension,
     enumerate_basis,
@@ -141,50 +140,58 @@ def test_norm_factor_examples():
 # ------------------------------------------------------------------ actions
 
 
+def _action(gid, params, state, p, basis_kind="orthonormal"):
+    """The nonzero entries of the operator matrix in the column of ``state``,
+    as (coefficient, target state) pairs, read through ``basis.index_of``."""
+    basis = enumerate_basis(params, p)
+    col = basis.index_of(state)
+    op = operator_matrix(gid, params, p, basis_kind)
+    return [(coeff, basis.states[row]) for row, j, coeff in op.items() if j == col]
+
+
 def test_lowering_kills_vacuum():
     P = AlgebraParams(1, 1, 1, 1)
     vac = FockState.vacuum(P)
     for i in range(1, 5):
-        assert apply_generator(GeneratorId(i, "-"), vac, 2) == []
+        assert _action(GeneratorId(i, "-"), P, vac, 2) == []
 
 
 def test_f_raising_sign_example():
+    P = AlgebraParams(1, 1, 1, 1)
     state = FockState((0,), (1,), (0,), (0,))
-    out = apply_generator(GeneratorId(3, "+"), state, 2)
+    out = _action(GeneratorId(3, "+"), P, state, 2)
     assert out == [(RadicalSum(-1), FockState((0,), (1,), (1,), (0,)))]
 
 
 def test_pauli_factor():
+    P = AlgebraParams(1, 1, 1, 1)
     state = FockState((0,), (0,), (1,), (0,))
-    assert apply_generator(GeneratorId(3, "+"), state, 2) == []
+    assert _action(GeneratorId(3, "+"), P, state, 2) == []
 
 
 def test_unnormalized_lowering_coefficient():
+    P = AlgebraParams(1, 0, 0, 0)
     state = FockState((2,), (), (), ())
-    out = apply_generator(GeneratorId(1, "-"), state, 3, "unnormalized")
+    out = _action(GeneratorId(1, "-"), P, state, 3, "unnormalized")
     assert out == [(RadicalSum(4), FockState((1,), (), (), ()))]
 
 
 def test_unnormalized_raising_drops_at_cap():
     P = AlgebraParams(1, 0, 0, 0)
     full = FockState((3,), (), (), ())
-    assert apply_generator(GeneratorId(1, "+"), full, 3, "unnormalized") == []
+    assert _action(GeneratorId(1, "+"), P, full, 3, "unnormalized") == []
     below = FockState((2,), (), (), ())
-    out = apply_generator(GeneratorId(1, "+"), below, 3, "unnormalized")
+    out = _action(GeneratorId(1, "+"), P, below, 3, "unnormalized")
     assert out == [(RadicalSum(1), full)]
 
 
 def test_apply_rejects_bad_input():
     with pytest.raises(ValueError):
-        apply_generator(GeneratorId(1, "+"), FockState((5,), (), (), ()), 2)
+        operator_matrix(GeneratorId(1, "+"), AlgebraParams(1, 0, 0, 0), 2, "bogus")
     with pytest.raises(ValueError):
-        apply_generator(
-            GeneratorId(1, "+"), FockState.vacuum(AlgebraParams(1, 0, 0, 0)), 2, "bogus"
-        )
-    with pytest.raises(ValueError):
-        apply_generator(
+        operator_matrix(
             GeneratorId(1, "+"),
-            FockState.vacuum(AlgebraParams(0, 0, 1, 1)),
+            AlgebraParams(0, 0, 1, 1),
             2,
             "unnormalized",
             FTildeVariant("theta", "lambda"),
@@ -221,14 +228,19 @@ def test_transpose_structure():
 
 
 def test_operator_degree_shift():
-    P = AlgebraParams(1, 1, 1, 1)
-    basis = enumerate_basis(P, 2)
-    for i in range(1, 5):
-        d = P.index_grade(i)
-        for sign in "+-":
-            op = operator_matrix(GeneratorId(i, sign), P, 2)
-            for row, col, _ in op.items():
-                assert basis.states[row].degree(P) == basis.states[col].degree(P) + d
+    # every corrected-variant ladder operator declares its generator's grade
+    # d_i, and each of its entries moves a state of degree g to one of g + d_i
+    for P in small_sweep(4):
+        for p in (1, 2, 3):
+            basis = enumerate_basis(P, p)
+            for kind in BASIS_KINDS:
+                plus, minus = ladder_operators(P, p, kind)
+                for i in P.operator_indices():
+                    d = P.index_grade(i)
+                    for op in (plus[i - 1], minus[i - 1]):
+                        assert op.grade == d
+                        for row, col, _ in op.items():
+                            assert basis.index_grade(row) == basis.index_grade(col) + d
 
 
 def test_nilpotency():
@@ -262,8 +274,8 @@ def test_quotient_consistency():
                 plain = operator_matrix(gid, P, p, "unnormalized")
                 assert ortho.nnz == plain.nnz
                 for row, col, coeff in plain.items():
-                    expected = factors[col] * coeff * factors[row].reciprocal()
-                    assert ortho.entry(row, col) == expected
+                    # ortho = N^-1 plain N entry by entry, with N = diag(factors)
+                    assert ortho.entry(row, col) * factors[row] == factors[col] * coeff
         assert fock._orthonormal_is_conjugate(P, p)
 
 

@@ -1,7 +1,6 @@
 """Exact radical arithmetic: canonical forms, algebra laws, display."""
 
 from fractions import Fraction
-from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -78,24 +77,11 @@ def test_radicands_are_ints_and_coefficients_exact():
         with pytest.raises(TypeError, match="radicand must be an int"):
             RadicalSum.sqrt(bad)
         with pytest.raises(TypeError, match="radicand must be an int"):
-            RadicalSum.from_terms({bad: 1})
-        with pytest.raises(TypeError, match="radicand must be an int"):
             normalize_radical(bad)
     with pytest.raises(TypeError):
         RadicalSum.sqrt_fraction(0.5)
-    with pytest.raises(TypeError):
-        RadicalSum.from_terms({2: 0.5})
     assert RadicalSum.sqrt_fraction(Fraction(1, 2)) == RadicalSum.sqrt(2) / 2
-    assert RadicalSum.from_terms({8: Fraction(1, 2)}) == RadicalSum.sqrt(2)
-
-
-def test_reciprocal():
-    value = RadicalSum.sqrt(2) * Fraction(3, 4)
-    assert value * value.reciprocal() == 1
-    with pytest.raises(ValueError):
-        (RadicalSum(1) + RadicalSum.sqrt(2)).reciprocal()
-    with pytest.raises(ZeroDivisionError):
-        RadicalSum().reciprocal()
+    assert RadicalSum.sqrt(8) * Fraction(1, 2) == RadicalSum.sqrt(2)
 
 
 def test_as_fraction():
@@ -106,31 +92,13 @@ def test_as_fraction():
         RadicalSum.sqrt(2).as_fraction()
 
 
-def test_to_float_examples():
-    assert RadicalSum.sqrt(2).to_float(5) == "1.4142"
-    assert (RadicalSum.sqrt(15) * 2).to_float(6) == "7.74597"
-    assert RadicalSum().to_float(3) == "0"
-    with pytest.raises(ValueError):
-        RadicalSum.sqrt(2).to_float(0)
-
-
-def test_to_float_against_high_precision():
-    mpmath = pytest.importorskip("mpmath")
-    mpmath.mp.dps = 60
-    values = [
-        RadicalSum.sqrt(2),
-        RadicalSum.sqrt(3) * Fraction(-7, 5) + RadicalSum(Fraction(22, 7)),
-        RadicalSum.sqrt(30) * 11 + RadicalSum.sqrt(2) * Fraction(1, 3),
-    ]
-    for value in values:
-        for digits in (3, 8, 15):
-            reference = mpmath.mpf(0)
-            for s, q in value.terms().items():
-                reference += mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(s)
-            got = value.to_float(digits)
-            assert abs(mpmath.mpf(got) - reference) <= abs(reference) * mpmath.mpf(10) ** (
-                1 - digits
-            )
+def _from_json(data) -> RadicalSum:
+    """A value rebuilt from its JSON terms as a sum of q * sqrt(radicand)."""
+    return sum(
+        (RadicalSum.sqrt(int(t["radicand"])) * Fraction(int(t["num"]), int(t["den"]))
+         for t in data),
+        RadicalSum(),
+    )
 
 
 def test_json_round_trip():
@@ -139,7 +107,7 @@ def test_json_round_trip():
     assert all(set(term) == {"num", "den", "radicand"} for term in data)
     radicands = [int(term["radicand"]) for term in data]
     assert radicands == sorted(radicands)
-    assert RadicalSum.from_json(data) == value
+    assert _from_json(data) == value
     assert RadicalSum().to_json() == []
 
 
@@ -150,9 +118,9 @@ def _coefficient_types(value: RadicalSum) -> set[type]:
 def test_integral_fraction_and_int_agree():
     pairs = [
         (RadicalSum(Fraction(4, 2)), RadicalSum(2)),
-        (RadicalSum.from_terms({8: Fraction(3, 3)}), RadicalSum.sqrt(2) * 2),
+        (RadicalSum.sqrt(8) * Fraction(3, 3), RadicalSum.sqrt(2) * 2),
         (RadicalSum.sqrt(3) / 2 * 2, RadicalSum.sqrt(3)),
-        (RadicalSum(Fraction(1, 3)).reciprocal(), RadicalSum(3)),
+        (RadicalSum(1) / Fraction(1, 3), RadicalSum(3)),
         (RadicalSum(Fraction(1, 2)) + RadicalSum(Fraction(1, 2)), RadicalSum(1)),
         (RadicalSum.sqrt_fraction(Fraction(1, 2)) * RadicalSum.sqrt(2), RadicalSum(1)),
     ]
@@ -180,7 +148,7 @@ _radical_sums = st.lists(
     st.tuples(st.sampled_from(_squarefree_pool), _coeffs),
     min_size=0,
     max_size=4,
-).map(RadicalSum.from_terms)
+).map(lambda terms: sum((RadicalSum.sqrt(s) * q for s, q in terms), RadicalSum()))
 
 
 @settings(max_examples=200)

@@ -44,7 +44,8 @@ def test_family_a_stat_restricted_to_even_indices():
 def test_mix_a2_spot_identity():
     P = AlgebraParams(0, 0, 1, 1)
     plus, minus = ladder_operators(P, 1)
-    lhs = plus[0].anticommutator(minus[0]).commutator(plus[1])
+    a, b = plus[0], minus[0]
+    lhs = (a @ b + b @ a).commutator(plus[1])
     assert lhs == -plus[1]
 
 
@@ -206,7 +207,7 @@ def test_literal_reading_is_commutator_plus_anticommutator(blocks):
         expected = fock.SparseOperator.zero(enumerate_basis(P, p), Grade(0, 0))
         for pos, e in enumerate(eps):
             up, down = plus[pos], minus[pos]
-            expected = expected + (up.commutator(down) + up.anticommutator(down)) * e
+            expected = expected + (up.commutator(down) + up @ down + down @ up) * e
         assert hamiltonian(P, p, eps, "literal") == expected
         assert not hamiltonian(P, p, eps, "literal").is_zero
 
