@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .grading import GRADES, AlgebraParams, Grade, GradedMatrix, graded_bracket
 from .linalg import RationalRowSpace, rational_rank
@@ -26,6 +26,7 @@ __all__ = [
     "RELATION_TAGS",
     "sweep_indices",
     "checks_at",
+    "relation_failures",
     "relation_report",
     "verify_defining_relations",
     "sl_basis",
@@ -144,34 +145,31 @@ def checks_at(indices: Sequence[tuple[int, ...]]) -> int:
     return sum(len(idx) - 1 for idx in indices)
 
 
-def relation_report(
+def relation_failures(
     params: AlgebraParams,
-    label: str,
     plus: Sequence,
     minus: Sequence,
-    indices: Sequence[tuple[int, ...]],
-) -> RelationReport:
-    """Check the triple relations of one realization at the given indices.
+    indices: Iterable[tuple[int, ...]],
+) -> Iterator[RelationFailure]:
+    """Yield the failures of the triple relations of one realization at the
+    given indices, in the order of ``indices``: the one sweep engine.
 
     ``plus[i - 1]`` and ``minus[i - 1]`` realize a_i^+ and a_i^- (matrix
     units or Fock operators), bracketed by ``graded_bracket``.  A pair (i, j)
     asks [a_i^+, a_j^+] = 0 (rel1+) and [a_i^-, a_j^-] = 0 (rel1-); a triple
     (i, j, k) compares [[a_i^+, a_j^-], a_k^+] with ``rel2_terms`` (rel2) and
-    [[a_i^+, a_j^-], a_k^-] with ``rel3_terms`` (rel3).  Failures keep the
-    order of ``indices``.
+    [[a_i^+, a_j^-], a_k^-] with ``rel3_terms`` (rel3).  Each bracket is
+    computed only when the sweep reaches it, so a caller that needs only the
+    first failure stops the sweep there.
     """
-    failures: list[RelationFailure] = []
     inner: dict = {}
-
-    def record(tag: str, idx: tuple[int, ...], residual) -> None:
-        if not residual.is_zero:
-            failures.append(RelationFailure(tag, idx, residual.to_json()))
-
     for idx in indices:
         if len(idx) == 2:
             i, j = idx
             for tag, ops in zip(RELATION_TAGS[2], (plus, minus)):
-                record(tag, idx, graded_bracket(ops[i - 1], ops[j - 1]))
+                res = graded_bracket(ops[i - 1], ops[j - 1])
+                if not res.is_zero:
+                    yield RelationFailure(tag, idx, res.to_json())
             continue
         i, j, k = idx
         bij = inner.get((i, j))
@@ -181,7 +179,20 @@ def relation_report(
             res = graded_bracket(bij, ops[k - 1])
             for coeff, t in terms(params, i, j, k):  # coefficients are +1 or -1
                 res = res - ops[t - 1] if coeff == 1 else res + ops[t - 1]
-            record(tag, idx, res)
+            if not res.is_zero:
+                yield RelationFailure(tag, idx, res.to_json())
+
+
+def relation_report(
+    params: AlgebraParams,
+    label: str,
+    plus: Sequence,
+    minus: Sequence,
+    indices: Sequence[tuple[int, ...]],
+) -> RelationReport:
+    """The list of every failure the sweep engine ``relation_failures``
+    yields at these indices, as a report of ``checks_at(indices)`` checks."""
+    failures = list(relation_failures(params, plus, minus, indices))
     return RelationReport(params.as_tuple(), label, checks_at(indices), failures)
 
 

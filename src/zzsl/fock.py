@@ -21,6 +21,7 @@ from .algebra import (
     checks_at,
     generator_ids,
     matrix_unit,
+    relation_failures,
     relation_report,
     sweep_indices,
 )
@@ -458,6 +459,8 @@ def operator_matrix(
     ft_variant: FTildeVariant = FT_CORRECTED,
 ) -> SparseOperator:
     """Matrix of one generator: column j is its action on the j-th basis state."""
+    if not isinstance(ft_variant, FTildeVariant):
+        raise TypeError(f"ft_variant must be an FTildeVariant, got {ft_variant!r}")
     basis = enumerate_basis(params, p)
     act = _ladder_rule(gid, params, p, basis_kind, ft_variant)
     index = basis._index
@@ -622,16 +625,34 @@ def verify_representation(
 
 
 def ft_variant_discrimination(params: AlgebraParams, p: int) -> DiscriminationReport:
-    """Verify all four f-tilde slot variants; only the first should pass."""
-    outcomes: list[VariantOutcome] = []
-    for variant in ft_variants():
-        report = verify_representation(params, p, ft_variant=variant)
-        first = report.first_relation_failure
-        failure_json = None
-        if first is not None:
-            label, failure = first
-            failure_json = {"suite": label, **failure.to_json()}
-        outcomes.append(VariantOutcome(variant.label, report.passed, failure_json))
+    """Verify all four f-tilde slot variants; only the first should pass.
+
+    The corrected variant runs ``verify_representation`` in full, since its
+    outcome needs every suite.  An outcome keeps only ``passed`` and the
+    first relation failure, and a variant with any relation failure has
+    ``passed = False`` whatever its other suites say.  So a theta-slot
+    variant's orthonormal sweep, the first suite of its report, stops at its
+    first failure, which is the record ``first_relation_failure`` would give.
+    Only a variant whose sweep passes, as every variant does without an
+    f-tilde orbital, runs the vacuum and adjointness suites, which then
+    decide its outcome.
+    """
+    corrected = verify_representation(params, p)
+    first = corrected.first_relation_failure
+    failure_json = None if first is None else {"suite": first[0], **first[1].to_json()}
+    outcomes = [VariantOutcome(FT_CORRECTED.label, corrected.passed, failure_json)]
+    for variant in ft_variants()[1:]:
+        plus, minus = ladder_operators(params, p, "orthonormal", variant)
+        failure = next(relation_failures(params, plus, minus, sweep_indices(params)), None)
+        if failure is None:
+            passed = (
+                _vacuum_suite(params, p, "orthonormal", variant).passed
+                and _adjointness_suite(params, p, variant).passed
+            )
+            outcomes.append(VariantOutcome(variant.label, passed))
+        else:
+            failure_json = {"suite": "relations-orthonormal", **failure.to_json()}
+            outcomes.append(VariantOutcome(variant.label, False, failure_json))
     return DiscriminationReport(params.as_tuple(), p, outcomes)
 
 

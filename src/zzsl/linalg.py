@@ -108,15 +108,6 @@ class SparseMatrix:
             )
         return self._comps
 
-    def homogeneous_grade(self):
-        """Grade of a homogeneous matrix; None for zero (which has every grade)."""
-        comps = self._components()
-        if not comps:
-            return None
-        if len(comps) > 1:
-            raise ValueError("matrix is not homogeneous")
-        return comps[0][0]
-
     def _entries_json(self) -> list[dict]:
         return [{"row": i, "col": j, "coeff": c.to_json()} for i, j, c in self.items()]
 

@@ -17,13 +17,15 @@ from zzsl import (
     verify_defining_relations,
 )
 
+from graded import homogeneous_grade
+
 
 def test_matrix_unit_grades():
-    assert matrix_unit(0, 0, AlgebraParams(1, 1, 1, 1)).homogeneous_grade() == Grade(0, 0)
+    assert homogeneous_grade(matrix_unit(0, 0, AlgebraParams(1, 1, 1, 1))) == Grade(0, 0)
     P = AlgebraParams(1, 1, 1, 1)
-    assert matrix_unit(1, 3, P).homogeneous_grade() == Grade(1, 0)
+    assert homogeneous_grade(matrix_unit(1, 3, P)) == Grade(1, 0)
     Q = AlgebraParams(0, 1, 0, 1)
-    assert matrix_unit(1, 2, Q).homogeneous_grade() == Grade(1, 0)
+    assert homogeneous_grade(matrix_unit(1, 2, Q)) == Grade(1, 0)
     with pytest.raises(ValueError):
         matrix_unit(0, 9, P)
 

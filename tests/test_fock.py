@@ -28,9 +28,10 @@ from zzsl import (
     spanning_rank,
     verify_representation,
 )
-from zzsl import fock
+from zzsl import algebra, fock
 from zzsl.algebra import relation_report, sweep_indices
 from zzsl.fock import BASIS_KINDS, MAX_BASIS_DIMENSION
+from zzsl.reports import DiscriminationReport, VariantOutcome
 
 
 def small_sweep(total_max):
@@ -357,6 +358,102 @@ def test_variant_requires_tilde_orbital():
     # without any f-tilde orbital all four variants coincide and pass
     report = ft_variant_discrimination(AlgebraParams(1, 1, 1, 0), 2)
     assert all(o.passed for o in report.outcomes)
+
+
+def _reference_discrimination(P, p):
+    """The discrimination rebuilt from a full ``verify_representation`` per
+    variant and its ``first_relation_failure``."""
+    outcomes = []
+    for variant in ft_variants():
+        report = verify_representation(P, p, variant)
+        first = report.first_relation_failure
+        failure = None if first is None else {"suite": first[0], **first[1].to_json()}
+        outcomes.append(VariantOutcome(variant.label, report.passed, failure))
+    return DiscriminationReport(P.as_tuple(), p, outcomes)
+
+
+def test_discrimination_equals_the_full_verification_of_every_variant():
+    points = [(P, p) for P in small_sweep(3) for p in (1, 2, 3)]
+    points += [(AlgebraParams(*blocks), p) for blocks in ((1, 1, 1, 1), (2, 0, 1, 1)) for p in (3, 4)]
+    for P, p in points:
+        got = ft_variant_discrimination(P, p).to_json()
+        assert got == _reference_discrimination(P, p).to_json(), (P, p)
+
+
+def _recording_variants(honest, seen):
+    def suite(*args):
+        seen.append(args[-1])  # the f-tilde slot variant
+        return honest(*args)
+
+    return suite
+
+
+def test_theta_slot_sweeps_stop_at_their_first_failure(monkeypatch):
+    P, p = AlgebraParams(1, 1, 1, 1), 3
+    variants = {name: [] for name in ("_vacuum_suite", "_adjointness_suite")}
+    for name, seen in variants.items():
+        monkeypatch.setattr(fock, name, _recording_variants(getattr(fock, name), seen))
+    brackets = [0]
+    honest_bracket = algebra.graded_bracket
+
+    def counted(x, y):
+        brackets[0] += 1
+        return honest_bracket(x, y)
+
+    monkeypatch.setattr(algebra, "graded_bracket", counted)
+    honest_failures, starts = fock.relation_failures, []
+
+    def spy(*args):
+        starts.append(brackets[0])
+        yield from honest_failures(*args)
+
+    monkeypatch.setattr(fock, "relation_failures", spy)
+    report = ft_variant_discrimination(P, p)
+    assert report.corrected_only_passes
+    assert variants == {"_vacuum_suite": [FT_CORRECTED] * 2, "_adjointness_suite": [FT_CORRECTED]}
+    per_sweep = [b - a for a, b in zip(starts, starts[1:] + brackets)]
+    # for scale, one theta-slot sweep run in full: it fails more than once
+    plus, minus = ladder_operators(P, p, "orthonormal", ft_variants()[3])
+    brackets[0] = 0
+    assert len(list(honest_failures(P, plus, minus, sweep_indices(P)))) > 1
+    full = brackets[0]
+    assert len(per_sweep) == 3 and all(0 < n < full / 2 for n in per_sweep), (per_sweep, full)
+
+
+def _rescaled_first_orbital(honest):
+    """Orthonormal a_1^+ times 2 and a_1^- times 1/2: an automorphism of the
+    triple relations that leaves [a^-, a^+]|0> as it is, but breaks
+    adjointness."""
+
+    def planted(gid, params, p, basis_kind="orthonormal", ft_variant=FT_CORRECTED):
+        op = honest(gid, params, p, basis_kind, ft_variant)
+        if basis_kind != "orthonormal" or gid.index != 1:
+            return op
+        return op * (2 if gid.sign == "+" else Fraction(1, 2))
+
+    return planted
+
+
+def test_a_variant_whose_sweep_passes_runs_its_other_suites(monkeypatch):
+    P, p = AlgebraParams(1, 1, 1, 0), 2
+    monkeypatch.setattr(fock, "operator_matrix", _rescaled_first_orbital(fock.operator_matrix))
+    ladder_operators.cache_clear()
+    try:
+        report = ft_variant_discrimination(P, p)
+        reference = _reference_discrimination(P, p)
+    finally:
+        ladder_operators.cache_clear()
+    assert [(o.passed, o.relation_failure) for o in report.outcomes] == [(False, None)] * 4
+    assert report.to_json() == reference.to_json()
+
+
+@pytest.mark.parametrize("variant", ["x", None, ("lambda", "theta")])
+def test_a_variant_that_is_not_an_ftildevariant_is_a_type_error(variant):
+    P = AlgebraParams(1, 1, 1, 1)
+    with pytest.raises(TypeError, match="FTildeVariant"):
+        verify_representation(P, 2, variant)
+    with pytest.raises(TypeError, match="FTildeVariant"):
+        operator_matrix(GeneratorId(4, "+"), P, 2, "orthonormal", variant)
 
 
 def test_single_quantum_state_layout():

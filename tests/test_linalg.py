@@ -23,6 +23,8 @@ from zzsl import (
     rational_rank,
 )
 
+from graded import homogeneous_grade
+
 
 def _contains(space, vector) -> bool:
     """Span membership: adding the vector to a copy of the space leaves it unchanged."""
@@ -148,7 +150,7 @@ def test_declared_grades_propagate_and_sums_of_two_grades_drop_them():
     mixed, other = b + f, minus[1] + minus[3]  # grades (1,1) and (0,1) in other
     assert mixed.grade is other.grade is None
     with pytest.raises(ValueError, match="not homogeneous"):
-        mixed.homogeneous_grade()
+        homogeneous_grade(mixed)
     # graded entry by entry, the sums split back into the ladder operators
     expected = [graded_bracket(x, y) for x in (b, f) for y in (minus[1], minus[3])]
     assert graded_bracket(mixed, other) == sum(expected[1:], expected[0])
@@ -167,7 +169,7 @@ def test_brackets_leave_no_reference_cycles():
             for down in minus:
                 inner = graded_bracket(up, down)
                 results.append(graded_bracket(inner, up))
-                inner.homogeneous_grade()
+                homogeneous_grade(inner)
         mixed = matrix_unit(0, 1, P) + matrix_unit(3, 0, P)
         results.append(graded_bracket(graded_bracket(mixed, unit), mixed))
         del results, inner, mixed
