@@ -69,6 +69,11 @@ def _check_kind(basis_kind: str) -> None:
         raise ValueError(f"basis_kind must be one of {BASIS_KINDS}, got {basis_kind!r}")
 
 
+def _check_variant(ft_variant) -> None:
+    if not isinstance(ft_variant, FTildeVariant):
+        raise TypeError(f"ft_variant must be an FTildeVariant, got {ft_variant!r}")
+
+
 @dataclass(frozen=True)
 class FTildeVariant:
     """Which occupation slot the two f-tilde rules write to.
@@ -311,14 +316,20 @@ def _check_order_range(params: AlgebraParams, lo: int, hi: int) -> None:
         )
 
 
+def _norm_square(state: FockState, p: int) -> Fraction:
+    """The square of ``norm_factor``: (p-R)! / (p! * prod of the bosonic
+    occupations' factorials), for an admissible state."""
+    denom = factorial(p) * prod(factorial(occ) for occ in state.r + state.l)
+    return Fraction(factorial(p - state.total), denom)
+
+
 def norm_factor(state: FockState, p: int) -> RadicalSum:
     """Scalar relating the unnormalized monomial vector to the unit vector."""
     _check_positive(p)
     R = state.total
     if R > p:
         raise ValueError(f"state with total {R} is inadmissible at order {p}")
-    denom = factorial(p) * prod(factorial(occ) for occ in state.r + state.l)
-    return RadicalSum.sqrt_fraction(Fraction(factorial(p - R), denom))
+    return RadicalSum.sqrt_fraction(_norm_square(state, p))
 
 
 def single_quantum_state(params: AlgebraParams, index: int) -> FockState:
@@ -459,8 +470,7 @@ def operator_matrix(
     ft_variant: FTildeVariant = FT_CORRECTED,
 ) -> SparseOperator:
     """Matrix of one generator: column j is its action on the j-th basis state."""
-    if not isinstance(ft_variant, FTildeVariant):
-        raise TypeError(f"ft_variant must be an FTildeVariant, got {ft_variant!r}")
+    _check_variant(ft_variant)
     basis = enumerate_basis(params, p)
     act = _ladder_rule(gid, params, p, basis_kind, ft_variant)
     index = basis._index
@@ -479,16 +489,27 @@ def ladder_operators(
     basis_kind: str = "orthonormal",
     ft_variant: FTildeVariant = FT_CORRECTED,
 ) -> tuple[tuple[SparseOperator, ...], tuple[SparseOperator, ...]]:
-    """(raising, lowering) operator matrices for indices 1..m+n."""
-    plus = tuple(
-        operator_matrix(GeneratorId(i, "+"), params, p, basis_kind, ft_variant)
-        for i in params.operator_indices()
+    """(raising, lowering) operator matrices for indices 1..m+n.
+
+    A slot variant changes only the f-tilde operators, the last n2 indices,
+    so an orthonormal slot variant takes the corrected variant's cached
+    operators before them and builds the f-tilde ones alone.  The cache keys
+    on the arguments as passed: the package passes all four, so each module's
+    operators are built once.
+    """
+    _check_variant(ft_variant)
+    shared = 0
+    if basis_kind == "orthonormal" and ft_variant != FT_CORRECTED:
+        shared = params.m + params.n1
+    corrected = ladder_operators(params, p, basis_kind, FT_CORRECTED) if shared else ((), ())
+    return tuple(
+        ops[:shared]
+        + tuple(
+            operator_matrix(GeneratorId(i, sign), params, p, basis_kind, ft_variant)
+            for i in params.operator_indices()[shared:]
+        )
+        for ops, sign in zip(corrected, "+-")
     )
-    minus = tuple(
-        operator_matrix(GeneratorId(i, "-"), params, p, basis_kind, ft_variant)
-        for i in params.operator_indices()
-    )
-    return plus, minus
 
 
 def _vacuum_suite(
@@ -538,7 +559,7 @@ def spanning_rank(params: AlgebraParams, p: int) -> tuple[int, int]:
     """
     basis = enumerate_basis(params, p)
     dim = len(basis)
-    plus, _ = ladder_operators(params, p, "unnormalized")
+    plus, _ = ladder_operators(params, p, "unnormalized", FT_CORRECTED)
     space = RationalRowSpace(dim)
     space.add({0: 1})
     frontier = [SparseOperator(basis, {(0, 0): 1})]
@@ -564,22 +585,95 @@ def _spanning_suite(params: AlgebraParams, p: int) -> RelationReport:
     return RelationReport(params.as_tuple(), "spanning", 1, failures)
 
 
-def _orthonormal_is_conjugate(params: AlgebraParams, p: int) -> bool:
-    """Whether every orthonormal ladder operator is N^-1 U N for its
-    unnormalized partner U, with N the diagonal of norm factors.
+def _orthonormal_is_conjugate(basis: FockBasis, ortho, unnorm) -> bool:
+    """Whether every orthonormal operator in ``ortho`` is N^-1 U N for its
+    unnormalized partner U in ``unnorm``, with N the diagonal of norm factors.
 
-    Holds when both declare the same grade and have the same nonzero keys,
-    and ``O[i,j] * n_i == U[i,j] * n_j`` exactly with ``n = norm_factor``.
+    ``ortho`` and ``unnorm`` are (raising, lowering) pairs on ``basis`` as
+    ``ladder_operators`` gives them, with None where an operator was not
+    built.  Partners must declare the same grade and have the same nonzero
+    keys, and ``O[i,j] * n_i == U[i,j] * n_j`` must hold with
+    ``n = norm_factor``.  Since every n_i > 0, that holds exactly when the
+    two entries have the same sign and ``O**2 * a_i == U**2 * a_j``, with
+    ``a = n**2`` the rational ``_norm_square``.  So no radical is multiplied.
+    This is decided only for an ``int`` or one-term ``c*sqrt(s)`` entry O
+    against an ``int`` entry U.  Any other entry declines: the check returns
+    False and the caller runs the full orthonormal sweep.  So the check may
+    decline, but it never wrongly passes.
     """
-    n = [norm_factor(state, p) for state in enumerate_basis(params, p)]
-    kinds = (itertools.chain(*ladder_operators(params, p, kind)) for kind in BASIS_KINDS)
-    for ortho, unnorm in zip(*kinds):
-        o, u = ortho._entries, unnorm._entries
-        if ortho.grade != unnorm.grade or o.keys() != u.keys():
+    a = [_norm_square(state, basis.p) for state in basis]
+    # a_i = num[i] / den[i]: the squares compare by integer cross products
+    num, den = [q.numerator for q in a], [q.denominator for q in a]
+    for o_op, u_op in zip(itertools.chain(*ortho), itertools.chain(*unnorm)):
+        if o_op is None:  # not touched, like its partner
+            continue
+        o, u = o_op._entries, u_op._entries
+        if o_op.grade != u_op.grade or o.keys() != u.keys():
             return False
-        if any(o[key] * n[key[0]] != u[key] * n[key[1]] for key in o):
-            return False
+        for (i, j), value in o.items():
+            partner = u[i, j]
+            if type(partner) is not int:
+                return False
+            if type(value) is int:
+                square, positive = value * value, value > 0
+            else:
+                terms = value.terms()
+                if len(terms) != 1:
+                    return False
+                ((radicand, coeff),) = terms.items()
+                square, positive = coeff * coeff * radicand, coeff > 0
+            if positive != (partner > 0) or (
+                square * num[i] * den[j] != partner * partner * num[j] * den[i]
+            ):
+                return False
     return True
+
+
+def _corrected_operators_at(params: AlgebraParams, p: int, basis_kind: str, touched: set[int]):
+    """The corrected variant's ``ladder_operators`` on one basis kind, with
+    None at the indices outside ``touched``; the cached pair when ``touched``
+    holds every index, else only the touched operators, built afresh."""
+    indices = params.operator_indices()
+    if touched.issuperset(indices):
+        return ladder_operators(params, p, basis_kind, FT_CORRECTED)
+    return tuple(
+        [
+            operator_matrix(GeneratorId(i, sign), params, p, basis_kind) if i in touched else None
+            for i in indices
+        ]
+        for sign in "+-"
+    )
+
+
+def _corrected_relation_sweeps(
+    params: AlgebraParams, p: int, indices: list[tuple[int, ...]]
+) -> tuple[RelationReport, RelationReport]:
+    """The unnormalized and orthonormal relation sweeps of the corrected
+    variant at ``indices``: the one route of its orthonormal sweep, for
+    ``verify_representation`` and for a standalone ``relation_suite``.
+
+    Both kinds are built only at the indices the sweep touches.  The
+    unnormalized sweep runs in full, in integer arithmetic.  When
+    ``_orthonormal_is_conjugate`` holds for the touched operators, every
+    orthonormal operator is N^-1 U N for its unnormalized partner, both
+    declare the same grades, and every residual at these indices, a
+    polynomial in the touched operators, is the unnormalized residual
+    conjugated by N.  It vanishes exactly where that one does, so the
+    orthonormal sweep runs only at the indices where the unnormalized one
+    failed.  When the check declines, it runs in full.  Either way its
+    report counts the checks of the whole sweep.
+    """
+    basis = enumerate_basis(params, p)  # checks the order even where nothing is built
+    touched = set(itertools.chain.from_iterable(indices))
+    plus, minus = _corrected_operators_at(params, p, "unnormalized", touched)
+    unnorm = relation_report(params, "relations-unnormalized", plus, minus, indices)
+    ortho_ops = _corrected_operators_at(params, p, "orthonormal", touched)
+    ortho_indices = indices
+    if _orthonormal_is_conjugate(basis, ortho_ops, (plus, minus)):
+        ortho_indices = list(dict.fromkeys(f.indices for f in unnorm.failures))
+    ortho = relation_report(params, "relations-orthonormal", *ortho_ops, ortho_indices)
+    ortho.checked = checks_at(indices)
+    return unnorm, ortho
 
 
 def verify_representation(
@@ -594,27 +688,22 @@ def verify_representation(
     (transposition, since all entries are real radicals), and the spanning
     check from the vacuum.  Slot variants other than the corrected one only
     exist on the orthonormal basis, so they skip the unnormalized suites.
+    An ``ft_variant`` that is not an ``FTildeVariant`` is a TypeError.
 
-    The orthonormal sweep of the corrected variant is derived from the
-    unnormalized one when ``_orthonormal_is_conjugate`` holds: then every
-    orthonormal operator is N^-1 U N for its unnormalized partner, both
-    declare the same grades, so every relation residual, a polynomial in the
-    operators, is the unnormalized residual conjugated by N, and vanishes
-    exactly where it does.  The orthonormal sweep then runs only at the
-    indices where the unnormalized one failed, and counts the checks of the
-    whole sweep.  Otherwise it runs in full.
+    The corrected variant's two sweeps take ``_corrected_relation_sweeps``:
+    the integer unnormalized sweep, then an exact conjugation check by signs
+    and rational squares, then the orthonormal sweep only where the
+    unnormalized one failed, or in full when the check declines.  A slot
+    variant's orthonormal sweep runs in full.
     """
+    _check_variant(ft_variant)
     indices = sweep_indices(params)
-    ortho_indices = indices
     corrected = ft_variant == FT_CORRECTED
     if corrected:
-        plus, minus = ladder_operators(params, p, "unnormalized")
-        unnorm = relation_report(params, "relations-unnormalized", plus, minus, indices)
-        if _orthonormal_is_conjugate(params, p):
-            ortho_indices = list(dict.fromkeys(f.indices for f in unnorm.failures))
-    plus, minus = ladder_operators(params, p, "orthonormal", ft_variant)
-    ortho = relation_report(params, "relations-orthonormal", plus, minus, ortho_indices)
-    ortho.checked = checks_at(indices)
+        unnorm, ortho = _corrected_relation_sweeps(params, p, indices)
+    else:
+        plus, minus = ladder_operators(params, p, "orthonormal", ft_variant)
+        ortho = relation_report(params, "relations-orthonormal", plus, minus, indices)
     suites = [ortho, _vacuum_suite(params, p, "orthonormal", ft_variant)]
     if corrected:
         suites += [unnorm, _vacuum_suite(params, p, "unnormalized", ft_variant)]

@@ -19,6 +19,7 @@ from .fock import (
     FockState,
     SparseOperator,
     _check_kind,
+    _corrected_relation_sweeps,
     dimension,
     enumerate_basis,
     ladder_operators,
@@ -122,13 +123,24 @@ def relation_suite(
     ``verify_representation(params, p)`` report as ``representation``, the
     failures are read from its ``relations-<basis_kind>`` suite instead of
     being recomputed.  Empty index ranges give a vacuous pass with zero checks.
+
+    Without a report, an orthonormal family takes the route of
+    ``verify_representation``, ``fock._corrected_relation_sweeps`` at the
+    family's indices: the operators those indices touch are built on both
+    kinds, the unnormalized sweep runs in integers, and an exact conjugation
+    check compares each orthonormal entry with its unnormalized partner by
+    sign and by rational square.  The orthonormal sweep then runs only where
+    the unnormalized one failed, or in full when the check declines.  An
+    unnormalized family is swept directly.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     _check_kind(basis_kind)
     indices = _family_indices(family, params)
-    if representation is None:
-        plus, minus = ladder_operators(params, p, basis_kind)
+    if representation is None and basis_kind == "orthonormal":
+        failures = _corrected_relation_sweeps(params, p, indices)[1].failures
+    elif representation is None:
+        plus, minus = ladder_operators(params, p, basis_kind, FT_CORRECTED)
         failures = relation_report(params, family, plus, minus, indices).failures
     else:
         if (representation.params, representation.p, representation.variant) != (
@@ -182,7 +194,7 @@ def _build_hamiltonian(
     params: AlgebraParams, p: int, epsilons: tuple[Rational, ...], reading: str
 ) -> SparseOperator:
     basis = enumerate_basis(params, p)
-    plus, minus = ladder_operators(params, p, "orthonormal")
+    plus, minus = ladder_operators(params, p, "orthonormal", FT_CORRECTED)
     total = SparseOperator.zero(basis, Grade(0, 0))
     m = params.m
     for pos, eps in enumerate(epsilons):
@@ -218,7 +230,7 @@ def ladder_residual(
     if index > 2 * m:
         raise ValueError(f"generator index {index} out of range 1..{2 * m}")
     ham = hamiltonian(params, p, energies, reading)
-    plus, minus = ladder_operators(params, p, "orthonormal")
+    plus, minus = ladder_operators(params, p, "orthonormal", FT_CORRECTED)
     op = plus[index - 1] if sign == "+" else minus[index - 1]
     eps = energies.epsilons[index - 1 if index <= m else index - m - 1]
     scale = eps if sign == "+" else -eps

@@ -1,12 +1,14 @@
 """Fock basis enumeration, ladder actions and representation verification."""
 
 import hashlib
+import itertools
 import json
 from fractions import Fraction
 
 import pytest
 
 from zzsl import (
+    FAMILIES,
     FT_CORRECTED,
     AlgebraParams,
     FockState,
@@ -24,14 +26,15 @@ from zzsl import (
     norm_factor,
     operator_matrix,
     order_one_defining_comparison,
+    relation_suite,
     single_quantum_state,
     spanning_rank,
     verify_representation,
 )
-from zzsl import algebra, fock
+from zzsl import algebra, fock, statistics
 from zzsl.algebra import relation_report, sweep_indices
 from zzsl.fock import BASIS_KINDS, MAX_BASIS_DIMENSION
-from zzsl.reports import DiscriminationReport, VariantOutcome
+from zzsl.reports import DiscriminationReport, RelationFailure, RelationReport, VariantOutcome
 
 
 def small_sweep(total_max):
@@ -262,6 +265,11 @@ def test_power_takes_positive_int_exponents_only():
             up ** bad
 
 
+def _both_kinds(P, p):
+    """(basis, orthonormal pair, unnormalized pair), the check's arguments."""
+    return (enumerate_basis(P, p), *(ladder_operators(P, p, kind) for kind in BASIS_KINDS))
+
+
 def test_quotient_consistency():
     # conjugating the integer matrices by the norm-factor diagonal gives the
     # orthonormal matrices entry by entry
@@ -277,7 +285,7 @@ def test_quotient_consistency():
                 for row, col, coeff in plain.items():
                     # ortho = N^-1 plain N entry by entry, with N = diag(factors)
                     assert ortho.entry(row, col) * factors[row] == factors[col] * coeff
-        assert fock._orthonormal_is_conjugate(P, p)
+        assert fock._orthonormal_is_conjugate(*_both_kinds(P, p))
 
 
 def test_number_operator_identity():
@@ -454,6 +462,17 @@ def test_a_variant_that_is_not_an_ftildevariant_is_a_type_error(variant):
         verify_representation(P, 2, variant)
     with pytest.raises(TypeError, match="FTildeVariant"):
         operator_matrix(GeneratorId(4, "+"), P, 2, "orthonormal", variant)
+
+
+@pytest.mark.parametrize("blocks", [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)])
+@pytest.mark.parametrize("variant", ["x", None])
+def test_the_variant_is_checked_whatever_the_composition(blocks, variant):
+    # with m+n = 0 no operator is built, so only an up-front check sees it
+    P = AlgebraParams(*blocks)
+    with pytest.raises(TypeError, match="ft_variant must be an FTildeVariant"):
+        verify_representation(P, 1, variant)
+    with pytest.raises(TypeError, match="ft_variant must be an FTildeVariant"):
+        ladder_operators(P, 1, "orthonormal", variant)
 
 
 def test_single_quantum_state_layout():
@@ -728,7 +747,7 @@ def test_an_orthonormal_only_fault_runs_the_full_sweep(monkeypatch):
     monkeypatch.setattr(fock, "relation_report", spy)
     ladder_operators.cache_clear()
     try:
-        assert not fock._orthonormal_is_conjugate(P, p)
+        assert not fock._orthonormal_is_conjugate(*_both_kinds(P, p))
         rep = verify_representation(P, p)
     finally:
         ladder_operators.cache_clear()
@@ -746,10 +765,247 @@ def test_a_fault_in_both_kinds_keeps_the_shortcut_exact(monkeypatch, name):
     monkeypatch.setattr(fock, "_ladder_rule", _faulty_rule(_RULE_FAULTS[name]))
     ladder_operators.cache_clear()
     try:
-        assert fock._orthonormal_is_conjugate(P, p)
+        assert fock._orthonormal_is_conjugate(*_both_kinds(P, p))
         got = verify_representation(P, p).suite("relations-orthonormal")
         forced = _full_orthonormal_sweep(P, p)
     finally:
         ladder_operators.cache_clear()
     assert got.failures
     assert got.to_json() == forced.to_json()
+
+
+# ------------------------------------------- the rational conjugation check
+
+
+def _radical_conjugation(P, p):
+    """The conjugation check in RadicalSum arithmetic: both kinds declare the
+    same grades and nonzero keys, and O[i,j] * n_i == U[i,j] * n_j for every
+    entry, with n = norm_factor."""
+    n = [norm_factor(state, p) for state in enumerate_basis(P, p)]
+    kinds = (itertools.chain(*ladder_operators(P, p, kind)) for kind in BASIS_KINDS)
+    for ortho, unnorm in zip(*kinds):
+        o = {(i, j): c for i, j, c in ortho.items()}
+        u = {(i, j): c for i, j, c in unnorm.items()}
+        if ortho.grade != unnorm.grade or o.keys() != u.keys():
+            return False
+        if any(o[i, j] * n[i] != u[i, j] * n[j] for i, j in o):
+            return False
+    return True
+
+
+def test_the_rational_check_agrees_with_the_radical_one():
+    points = [(P, p) for P in small_sweep(4) for p in range(1, 5)]
+    assert all(fock._orthonormal_is_conjugate(*_both_kinds(P, p)) for P, p in points)
+    assert all(_radical_conjugation(P, p) for P, p in points)
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_FAULTS))
+def test_the_rational_check_agrees_with_the_radical_one_under_each_rule_fault(monkeypatch, name):
+    monkeypatch.setattr(fock, "_ladder_rule", _faulty_rule(_RULE_FAULTS[name]))
+    # the slot fault moves a quantum onto orbital 2, which must be bosonic
+    points = [(P, p) for P in small_sweep(3) if P.m >= 2 for p in (2, 3)]
+    points += [(AlgebraParams(*blocks), p) for blocks in ((1, 1, 1, 1), (2, 0, 1, 1)) for p in (2, 4)]
+    ladder_operators.cache_clear()
+    try:
+        verdicts = [
+            (fock._orthonormal_is_conjugate(*_both_kinds(P, p)), _radical_conjugation(P, p))
+            for P, p in points
+        ]
+    finally:
+        ladder_operators.cache_clear()
+    assert all(rational == radical for rational, radical in verdicts)
+    # a sign or quotient fault acts alike on both kinds and keeps the
+    # conjugation; the others break it, so both checks must see them
+    assert all(rational for rational, _ in verdicts) == (name in ("sign", "quotient"))
+
+
+def _replace_first_entry(honest, change, target=GeneratorId(1, "+")):
+    """Orthonormal ``target`` (a_1^+) with its first entry c replaced by
+    change(c), its unnormalized partner left as it is."""
+
+    def planted(gid, params, p, basis_kind="orthonormal", ft_variant=FT_CORRECTED):
+        op = honest(gid, params, p, basis_kind, ft_variant)
+        if basis_kind != "orthonormal" or gid != target:
+            return op
+        entries = {(row, col): c for row, col, c in op.items()}
+        first = min(entries)
+        entries[first] = change(entries[first])
+        return fock.SparseOperator(op.basis, entries, op.grade)
+
+    return planted
+
+
+def _record_sweeps(monkeypatch):
+    """Record the label and length of every sweep ``fock`` runs."""
+    honest_report, swept = fock.relation_report, []
+
+    def spy(params, label, plus, minus, indices):
+        swept.append((label, len(indices)))
+        return honest_report(params, label, plus, minus, indices)
+
+    monkeypatch.setattr(fock, "relation_report", spy)
+    return swept
+
+
+def _sweeps_under(monkeypatch, change, P, p):
+    """verify_representation with the first entry of orthonormal a_1^+
+    changed: (the check's verdict, its report, the labels and lengths of the
+    sweeps it ran, the forced direct orthonormal sweep)."""
+    monkeypatch.setattr(fock, "operator_matrix", _replace_first_entry(fock.operator_matrix, change))
+    swept = _record_sweeps(monkeypatch)
+    ladder_operators.cache_clear()
+    try:
+        verdict = fock._orthonormal_is_conjugate(*_both_kinds(P, p))
+        swept.clear()
+        rep = verify_representation(P, p)
+        forced = _full_orthonormal_sweep(P, p)
+    finally:
+        ladder_operators.cache_clear()
+    return verdict, rep, swept, forced
+
+
+def test_a_sign_flip_that_squares_away_is_caught(monkeypatch):
+    P, p = AlgebraParams(1, 1, 1, 1), 2
+    honest = operator_matrix(GeneratorId(1, "+"), P, p)
+    (row, col, value), *_ = honest.items()
+    assert (-value) * (-value) == value * value  # squaring alone would miss the flip
+    verdict, rep, swept, forced = _sweeps_under(monkeypatch, lambda c: -c, P, p)
+    assert not verdict
+    full = len(sweep_indices(P))
+    assert swept == [("relations-unnormalized", full), ("relations-orthonormal", full)]
+    ortho = rep.suite("relations-orthonormal")
+    assert ortho.to_json() == forced.to_json()
+    assert ortho.failures and all(1 in f.indices for f in ortho.failures)
+    assert rep.suite("relations-unnormalized").passed
+    # adjointness names the flipped entry, transposed, at twice its value
+    (adjoint,) = rep.suite("adjointness").failures
+    assert adjoint.indices == (1,)
+    assert [(e["row"], e["col"]) for e in adjoint.residual["entries"]] == [(col, row)]
+    assert adjoint.residual["entries"][0]["coeff"] == (value * -2).to_json()
+
+
+# c + c*sqrt(3), its honest term stored first or last
+_TWO_TERMS = [lambda c: c + c * RadicalSum.sqrt(3), lambda c: c * RadicalSum.sqrt(3) + c]
+
+
+@pytest.mark.parametrize("two_terms", _TWO_TERMS)
+def test_a_two_term_entry_declines_the_check(monkeypatch, two_terms):
+    P, p = AlgebraParams(1, 1, 1, 1), 2
+    assert len(two_terms(operator_matrix(GeneratorId(1, "+"), P, p).items()[0][2]).terms()) == 2
+    verdict, rep, swept, forced = _sweeps_under(monkeypatch, two_terms, P, p)
+    assert not verdict
+    full = len(sweep_indices(P))
+    assert swept == [("relations-unnormalized", full), ("relations-orthonormal", full)]
+    assert rep.suite("relations-orthonormal").failures
+    assert rep.suite("relations-orthonormal").to_json() == forced.to_json()
+
+
+def test_each_kind_is_built_once_per_verification(monkeypatch):
+    P, p = AlgebraParams(1, 1, 1, 1), 3
+    honest, built = fock.operator_matrix, []
+
+    def counted(gid, params, p, basis_kind="orthonormal", ft_variant=FT_CORRECTED):
+        built.append((gid, basis_kind, ft_variant))
+        return honest(gid, params, p, basis_kind, ft_variant)
+
+    monkeypatch.setattr(fock, "operator_matrix", counted)
+    ladder_operators.cache_clear()
+    try:
+        assert verify_representation(P, p).passed
+        assert len(built) == len(set(built)) == 2 * 2 * 4
+        built.clear()
+        ladder_operators.cache_clear()
+        assert ft_variant_discrimination(P, p).corrected_only_passes
+    finally:
+        ladder_operators.cache_clear()
+    # the corrected variant, then the two f-tilde operators of each theta-slot variant
+    ft = [GeneratorId(4, "+"), GeneratorId(4, "-")]
+    assert [(gid, v) for gid, _, v in built[16:]] == [
+        (gid, v) for v in ft_variants()[1:] for gid in ft
+    ]
+
+
+def test_slot_variants_share_every_operator_outside_the_ft_block():
+    P, p = AlgebraParams(2, 2, 2, 2), 3
+    corrected = ladder_operators(P, p, "orthonormal", FT_CORRECTED)
+    for variant in ft_variants()[1:]:
+        shared = ladder_operators(P, p, "orthonormal", variant)
+        for sign, ops, ref in zip("+-", shared, corrected):
+            for i, (op, base) in enumerate(zip(ops, ref), start=1):
+                direct = operator_matrix(GeneratorId(i, sign), P, p, "orthonormal", variant)
+                assert (op.grade, op.to_json()) == (direct.grade, direct.to_json())
+                if i <= P.m + P.n1:
+                    assert op is base
+                    assert (direct.grade, direct.to_json()) == (base.grade, base.to_json())
+
+
+# ------------------------------------------ family suites by the same route
+
+
+_FAMILY_TAGS = {"rel1+": "pair+", "rel1-": "pair-", "rel2": "triple+", "rel3": "triple-"}
+
+
+def _direct_family_sweep(family, P, p):
+    """A standalone orthonormal family as a direct sweep at its indices."""
+    indices = statistics._family_indices(family, P)
+    plus, minus = ladder_operators(P, p, "orthonormal")
+    report = relation_report(P, family, plus, minus, indices)
+    failures = [RelationFailure(_FAMILY_TAGS[f.relation], f.indices, f.residual) for f in report.failures]
+    return RelationReport(P.as_tuple(), family, report.checked, failures)
+
+
+def _family_digests(points):
+    routed, direct = hashlib.sha256(), hashlib.sha256()
+    for P, p in points:
+        for family in FAMILIES:
+            routed.update(json.dumps(relation_suite(family, P, p).to_json()).encode())
+            direct.update(json.dumps(_direct_family_sweep(family, P, p).to_json()).encode())
+    return routed.hexdigest(), direct.hexdigest()
+
+
+_SMALL_BLOCKS = [b for b in itertools.product(range(3), repeat=4) if sum(b) <= 4]
+
+
+@pytest.mark.parametrize("name", [None, "sign", "weight"])
+def test_standalone_families_equal_the_direct_sweep(monkeypatch, name):
+    if name is not None:
+        monkeypatch.setattr(fock, "_ladder_rule", _faulty_rule(_RULE_FAULTS[name]))
+    points = [(AlgebraParams(*blocks), p) for blocks in _SMALL_BLOCKS for p in (1, 2, 3)]
+    ladder_operators.cache_clear()
+    try:
+        routed, direct = _family_digests(points)
+    finally:
+        ladder_operators.cache_clear()
+    assert routed == direct
+    if name is None:
+        # the direct sweep's digest over these 750 reports, before the route
+        assert routed == "040c1193156a9e68c663bb1ffdcc258c43c4976cd89207ef45d2026edf4a611c"
+
+
+_DOUBLE_LOWERING = lambda honest: _replace_first_entry(  # noqa: E731
+    honest, lambda c: c * 2, GeneratorId(1, "-")
+)
+
+
+@pytest.mark.parametrize("plant", [_double_one_entry, _DOUBLE_LOWERING])
+def test_an_orthonormal_only_fault_reroutes_only_the_families_it_touches(monkeypatch, plant):
+    P, p = AlgebraParams(1, 1, 1, 1), 2
+    monkeypatch.setattr(fock, "operator_matrix", plant(fock.operator_matrix))
+    swept = _record_sweeps(monkeypatch)
+    ladder_operators.cache_clear()
+    try:
+        for family in FAMILIES:
+            swept.clear()
+            report = relation_suite(family, P, p)
+            direct = _direct_family_sweep(family, P, p)
+            indices = statistics._family_indices(family, P)
+            touches = any(1 in idx for idx in indices)
+            ortho_len = len(indices) if touches else 0
+            assert swept == [
+                ("relations-unnormalized", len(indices)),
+                ("relations-orthonormal", ortho_len),
+            ], family
+            assert report.to_json() == direct.to_json(), family
+            assert report.passed != touches, family
+    finally:
+        ladder_operators.cache_clear()
