@@ -47,7 +47,7 @@ class GeneratorId:
     def __post_init__(self) -> None:
         if self.sign not in ("+", "-"):
             raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
-        if not isinstance(self.index, int) or isinstance(self.index, bool) or self.index < 1:
+        if type(self.index) is not int or self.index < 1:  # a bool is not an index
             raise ValueError(f"generator index must be a positive integer, got {self.index!r}")
 
     def check(self, params: AlgebraParams) -> None:

@@ -69,11 +69,6 @@ def _check_kind(basis_kind: str) -> None:
         raise ValueError(f"basis_kind must be one of {BASIS_KINDS}, got {basis_kind!r}")
 
 
-def _check_variant(ft_variant) -> None:
-    if not isinstance(ft_variant, FTildeVariant):
-        raise TypeError(f"ft_variant must be an FTildeVariant, got {ft_variant!r}")
-
-
 @dataclass(frozen=True)
 class FTildeVariant:
     """Which occupation slot the two f-tilde rules write to.
@@ -81,7 +76,10 @@ class FTildeVariant:
     The representation formulas are unambiguous except for the target kets of
     the f-tilde pair, where a lambda-slot and a theta-slot reading both parse.
     Only the lambda/lambda combination satisfies the defining relations; the
-    others are kept so the verifier can demonstrate the discrimination.
+    others are kept so the verifier can demonstrate the discrimination, and
+    are reached only through ``operator_matrix`` and
+    ``ft_variant_discrimination``.  Every other operator the package builds
+    is the corrected one.
 
     A theta-slot f-tilde operator still declares its generator's grade,
     although its entries, which put a quantum into a theta slot, carry
@@ -153,8 +151,8 @@ class FockState:
 
     def occupation(self, index: int, params: AlgebraParams) -> int:
         """Occupation of the orbital of operator index (1-based)."""
-        if not 1 <= index <= params.m + params.n:
-            raise ValueError(f"operator index {index} out of range")
+        if type(index) is not int or not 1 <= index <= params.m + params.n:  # nor a bool
+            raise ValueError(f"operator index {index!r} is not an int in 1..{params.m + params.n}")
         return self.occupations()[index - 1]
 
     def degree(self, params: AlgebraParams) -> Grade:
@@ -334,8 +332,8 @@ def norm_factor(state: FockState, p: int) -> RadicalSum:
 
 def single_quantum_state(params: AlgebraParams, index: int) -> FockState:
     """The state with exactly one quantum, on the orbital of operator ``index``."""
-    if not 1 <= index <= params.m + params.n:
-        raise ValueError(f"operator index {index} out of range")
+    if type(index) is not int or not 1 <= index <= params.m + params.n:  # nor a bool
+        raise ValueError(f"operator index {index!r} is not an int in 1..{params.m + params.n}")
     occ = [0] * (params.m + params.n)
     occ[index - 1] = 1
     return FockState.from_occupations(params, occ)
@@ -470,7 +468,8 @@ def operator_matrix(
     ft_variant: FTildeVariant = FT_CORRECTED,
 ) -> SparseOperator:
     """Matrix of one generator: column j is its action on the j-th basis state."""
-    _check_variant(ft_variant)
+    if not isinstance(ft_variant, FTildeVariant):
+        raise TypeError(f"ft_variant must be an FTildeVariant, got {ft_variant!r}")
     basis = enumerate_basis(params, p)
     act = _ladder_rule(gid, params, p, basis_kind, ft_variant)
     index = basis._index
@@ -484,45 +483,44 @@ def operator_matrix(
 
 @lru_cache(maxsize=256, typed=True)
 def ladder_operators(
-    params: AlgebraParams,
-    p: int,
-    basis_kind: str = "orthonormal",
-    ft_variant: FTildeVariant = FT_CORRECTED,
+    params: AlgebraParams, p: int, basis_kind: str = "orthonormal"
 ) -> tuple[tuple[SparseOperator, ...], tuple[SparseOperator, ...]]:
-    """(raising, lowering) operator matrices for indices 1..m+n.
-
-    A slot variant changes only the f-tilde operators, the last n2 indices,
-    so an orthonormal slot variant takes the corrected variant's cached
-    operators before them and builds the f-tilde ones alone.  The cache keys
-    on the arguments as passed: the package passes all four, so each module's
-    operators are built once.
-    """
-    _check_variant(ft_variant)
-    shared = 0
-    if basis_kind == "orthonormal" and ft_variant != FT_CORRECTED:
-        shared = params.m + params.n1
-    corrected = ladder_operators(params, p, basis_kind, FT_CORRECTED) if shared else ((), ())
+    """(raising, lowering) operator matrices of the corrected f-tilde reading
+    for indices 1..m+n.  The cache keys on the arguments as passed: the
+    package passes all three, so each module's operators are built once."""
     return tuple(
-        ops[:shared]
-        + tuple(
-            operator_matrix(GeneratorId(i, sign), params, p, basis_kind, ft_variant)
-            for i in params.operator_indices()[shared:]
+        tuple(
+            operator_matrix(GeneratorId(i, sign), params, p, basis_kind)
+            for i in params.operator_indices()
         )
-        for ops, sign in zip(corrected, "+-")
+        for sign in "+-"
     )
 
 
-def _vacuum_suite(
-    params: AlgebraParams,
-    p: int,
-    basis_kind: str,
-    ft_variant: FTildeVariant,
-) -> RelationReport:
-    """[a_i^-, a_j^+]|0> = p delta_ij |0>, with the bracket applied to the
-    vacuum vector: a_i^-(a_j^+|0>) -/+ a_j^+(a_i^-|0>), the sign as in
-    ``graded_bracket``."""
+def _slot_variant_operators(params: AlgebraParams, p: int, ft_variant: FTildeVariant):
+    """A slot variant's orthonormal (raising, lowering) operators.
+
+    A slot variant changes only the f-tilde operators, the last n2 indices,
+    so it takes the cached corrected operators before them and rebuilds the
+    f-tilde ones alone through ``operator_matrix``.
+    """
+    shared = params.m + params.n1
+    return tuple(
+        ops[:shared]
+        + tuple(
+            operator_matrix(GeneratorId(i, sign), params, p, "orthonormal", ft_variant)
+            for i in params.operator_indices()[shared:]
+        )
+        for ops, sign in zip(ladder_operators(params, p, "orthonormal"), "+-")
+    )
+
+
+def _vacuum_suite(params: AlgebraParams, p: int, basis_kind: str, plus, minus) -> RelationReport:
+    """[a_i^-, a_j^+]|0> = p delta_ij |0> for the (raising, lowering)
+    operators ``plus`` and ``minus`` on one basis kind, with the bracket
+    applied to the vacuum vector: a_i^-(a_j^+|0>) -/+ a_j^+(a_i^-|0>), the
+    sign as in ``graded_bracket``."""
     vac = SparseOperator(enumerate_basis(params, p), {(0, 0): 1})
-    plus, minus = ladder_operators(params, p, basis_kind, ft_variant)
     up = [op @ vac for op in plus]
     down = [op @ vac for op in minus]
     failures: list[RelationFailure] = []
@@ -538,8 +536,8 @@ def _vacuum_suite(
     return RelationReport(params.as_tuple(), f"vacuum-{basis_kind}", checked, failures)
 
 
-def _adjointness_suite(params: AlgebraParams, p: int, ft_variant: FTildeVariant) -> RelationReport:
-    plus, minus = ladder_operators(params, p, "orthonormal", ft_variant)
+def _adjointness_suite(params: AlgebraParams, plus, minus) -> RelationReport:
+    """Each orthonormal a_i^- is the transpose of a_i^+."""
     failures: list[RelationFailure] = []
     checked = 0
     for i, (up, down) in enumerate(zip(plus, minus), start=1):
@@ -559,7 +557,7 @@ def spanning_rank(params: AlgebraParams, p: int) -> tuple[int, int]:
     """
     basis = enumerate_basis(params, p)
     dim = len(basis)
-    plus, _ = ladder_operators(params, p, "unnormalized", FT_CORRECTED)
+    plus, _ = ladder_operators(params, p, "unnormalized")
     space = RationalRowSpace(dim)
     space.add({0: 1})
     frontier = [SparseOperator(basis, {(0, 0): 1})]
@@ -630,12 +628,12 @@ def _orthonormal_is_conjugate(basis: FockBasis, ortho, unnorm) -> bool:
 
 
 def _corrected_operators_at(params: AlgebraParams, p: int, basis_kind: str, touched: set[int]):
-    """The corrected variant's ``ladder_operators`` on one basis kind, with
-    None at the indices outside ``touched``; the cached pair when ``touched``
-    holds every index, else only the touched operators, built afresh."""
+    """``ladder_operators`` on one basis kind, with None at the indices
+    outside ``touched``; the cached pair when ``touched`` holds every index,
+    else only the touched operators, built afresh."""
     indices = params.operator_indices()
     if touched.issuperset(indices):
-        return ladder_operators(params, p, basis_kind, FT_CORRECTED)
+        return ladder_operators(params, p, basis_kind)
     return tuple(
         [
             operator_matrix(GeneratorId(i, sign), params, p, basis_kind) if i in touched else None
@@ -648,9 +646,9 @@ def _corrected_operators_at(params: AlgebraParams, p: int, basis_kind: str, touc
 def _corrected_relation_sweeps(
     params: AlgebraParams, p: int, indices: list[tuple[int, ...]]
 ) -> tuple[RelationReport, RelationReport]:
-    """The unnormalized and orthonormal relation sweeps of the corrected
-    variant at ``indices``: the one route of its orthonormal sweep, for
-    ``verify_representation`` and for a standalone ``relation_suite``.
+    """The unnormalized and orthonormal relation sweeps at ``indices``: the
+    one route of both, for ``verify_representation`` and for a standalone
+    ``relation_suite`` of either basis kind.
 
     Both kinds are built only at the indices the sweep touches.  The
     unnormalized sweep runs in full, in integer arithmetic.  When
@@ -676,41 +674,30 @@ def _corrected_relation_sweeps(
     return unnorm, ortho
 
 
-def verify_representation(
-    params: AlgebraParams,
-    p: int,
-    ft_variant: FTildeVariant = FT_CORRECTED,
-) -> RepresentationReport:
+def verify_representation(params: AlgebraParams, p: int) -> RepresentationReport:
     """Machine-check that the ladder matrices represent the algebra.
 
     Runs, with exact arithmetic: the triple-relation sweep and the vacuum
     conditions on both basis kinds, adjointness on the orthonormal kind
     (transposition, since all entries are real radicals), and the spanning
-    check from the vacuum.  Slot variants other than the corrected one only
-    exist on the orthonormal basis, so they skip the unnormalized suites.
-    An ``ft_variant`` that is not an ``FTildeVariant`` is a TypeError.
+    check from the vacuum.
 
-    The corrected variant's two sweeps take ``_corrected_relation_sweeps``:
-    the integer unnormalized sweep, then an exact conjugation check by signs
-    and rational squares, then the orthonormal sweep only where the
-    unnormalized one failed, or in full when the check declines.  A slot
-    variant's orthonormal sweep runs in full.
+    The two sweeps take ``_corrected_relation_sweeps``: the integer
+    unnormalized sweep, then an exact conjugation check by signs and
+    rational squares, then the orthonormal sweep only where the unnormalized
+    one failed, or in full when the check declines.
     """
-    _check_variant(ft_variant)
-    indices = sweep_indices(params)
-    corrected = ft_variant == FT_CORRECTED
-    if corrected:
-        unnorm, ortho = _corrected_relation_sweeps(params, p, indices)
-    else:
-        plus, minus = ladder_operators(params, p, "orthonormal", ft_variant)
-        ortho = relation_report(params, "relations-orthonormal", plus, minus, indices)
-    suites = [ortho, _vacuum_suite(params, p, "orthonormal", ft_variant)]
-    if corrected:
-        suites += [unnorm, _vacuum_suite(params, p, "unnormalized", ft_variant)]
-    suites.append(_adjointness_suite(params, p, ft_variant))
-    if corrected:
-        suites.append(_spanning_suite(params, p))
-    return RepresentationReport(params.as_tuple(), p, ft_variant.label, suites)
+    unnorm, ortho = _corrected_relation_sweeps(params, p, sweep_indices(params))
+    ortho_ops = ladder_operators(params, p, "orthonormal")
+    suites = [
+        ortho,
+        _vacuum_suite(params, p, "orthonormal", *ortho_ops),
+        unnorm,
+        _vacuum_suite(params, p, "unnormalized", *ladder_operators(params, p, "unnormalized")),
+        _adjointness_suite(params, *ortho_ops),
+        _spanning_suite(params, p),
+    ]
+    return RepresentationReport(params.as_tuple(), p, FT_CORRECTED.label, suites)
 
 
 def ft_variant_discrimination(params: AlgebraParams, p: int) -> DiscriminationReport:
@@ -724,19 +711,20 @@ def ft_variant_discrimination(params: AlgebraParams, p: int) -> DiscriminationRe
     first failure, which is the record ``first_relation_failure`` would give.
     Only a variant whose sweep passes, as every variant does without an
     f-tilde orbital, runs the vacuum and adjointness suites, which then
-    decide its outcome.
+    decide its outcome.  Its operators are the corrected ones with the
+    f-tilde ones rebuilt by ``_slot_variant_operators``.
     """
     corrected = verify_representation(params, p)
     first = corrected.first_relation_failure
     failure_json = None if first is None else {"suite": first[0], **first[1].to_json()}
     outcomes = [VariantOutcome(FT_CORRECTED.label, corrected.passed, failure_json)]
     for variant in ft_variants()[1:]:
-        plus, minus = ladder_operators(params, p, "orthonormal", variant)
+        plus, minus = _slot_variant_operators(params, p, variant)
         failure = next(relation_failures(params, plus, minus, sweep_indices(params)), None)
         if failure is None:
             passed = (
-                _vacuum_suite(params, p, "orthonormal", variant).passed
-                and _adjointness_suite(params, p, variant).passed
+                _vacuum_suite(params, p, "orthonormal", plus, minus).passed
+                and _adjointness_suite(params, plus, minus).passed
             )
             outcomes.append(VariantOutcome(variant.label, passed))
         else:

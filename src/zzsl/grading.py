@@ -89,6 +89,8 @@ class AlgebraParams:
 
     def index_grade(self, i: int) -> Grade:
         """Degree d_i of row/column index i, following the block layout."""
+        if type(i) is not int:  # a bool or a float is not an index
+            raise ValueError(f"index must be an int, got {i!r}")
         if not 0 <= i <= self.m + self.n:
             raise ValueError(f"index {i} out of range 0..{self.m + self.n}")
         if i <= self.m1:

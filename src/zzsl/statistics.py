@@ -13,7 +13,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .algebra import RELATION_TAGS, GeneratorId, checks_at, relation_report
+from .algebra import RELATION_TAGS, GeneratorId, checks_at
 from .fock import (
     FT_CORRECTED,
     FockState,
@@ -124,37 +124,33 @@ def relation_suite(
     failures are read from its ``relations-<basis_kind>`` suite instead of
     being recomputed.  Empty index ranges give a vacuous pass with zero checks.
 
-    Without a report, an orthonormal family takes the route of
+    Without a report, a family of either basis kind takes the route of
     ``verify_representation``, ``fock._corrected_relation_sweeps`` at the
-    family's indices: the operators those indices touch are built on both
-    kinds, the unnormalized sweep runs in integers, and an exact conjugation
-    check compares each orthonormal entry with its unnormalized partner by
-    sign and by rational square.  The orthonormal sweep then runs only where
-    the unnormalized one failed, or in full when the check declines.  An
-    unnormalized family is swept directly.
+    family's indices, and reads that kind's sweep: the operators those
+    indices touch are built on both kinds, the unnormalized sweep runs in
+    integers, and an exact conjugation check compares each orthonormal entry
+    with its unnormalized partner by sign and by rational square.  The
+    orthonormal sweep then runs only where the unnormalized one failed, or
+    in full when the check declines.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
     _check_kind(basis_kind)
     indices = _family_indices(family, params)
-    if representation is None and basis_kind == "orthonormal":
-        failures = _corrected_relation_sweeps(params, p, indices)[1].failures
-    elif representation is None:
-        plus, minus = ladder_operators(params, p, basis_kind, FT_CORRECTED)
-        failures = relation_report(params, family, plus, minus, indices).failures
+    if representation is None:
+        unnorm, ortho = _corrected_relation_sweeps(params, p, indices)
+        sweep = ortho if basis_kind == "orthonormal" else unnorm
+    elif (representation.params, representation.p, representation.variant) != (
+        params.as_tuple(), p, FT_CORRECTED.label
+    ):
+        raise ValueError("representation report is for other params, order or variant")
     else:
-        if (representation.params, representation.p, representation.variant) != (
-            params.as_tuple(), p, FT_CORRECTED.label
-        ):
-            raise ValueError("representation report is for other params, order or variant")
         sweep = representation.suite(f"relations-{basis_kind}")
-        found = {(f.relation, f.indices): f for f in sweep.failures}
-        failures = [
-            found[tag, idx]
-            for idx in indices
-            for tag in RELATION_TAGS[len(idx)]
-            if (tag, idx) in found
-        ]
+    # the family's failures in its check order (a report's sweep covers every index)
+    found = {(f.relation, f.indices): f for f in sweep.failures}
+    failures = [
+        found[tag, idx] for idx in indices for tag in RELATION_TAGS[len(idx)] if (tag, idx) in found
+    ]
     return RelationReport(
         params.as_tuple(),
         family,
@@ -194,7 +190,7 @@ def _build_hamiltonian(
     params: AlgebraParams, p: int, epsilons: tuple[Rational, ...], reading: str
 ) -> SparseOperator:
     basis = enumerate_basis(params, p)
-    plus, minus = ladder_operators(params, p, "orthonormal", FT_CORRECTED)
+    plus, minus = ladder_operators(params, p, "orthonormal")
     total = SparseOperator.zero(basis, Grade(0, 0))
     m = params.m
     for pos, eps in enumerate(epsilons):
@@ -230,7 +226,7 @@ def ladder_residual(
     if index > 2 * m:
         raise ValueError(f"generator index {index} out of range 1..{2 * m}")
     ham = hamiltonian(params, p, energies, reading)
-    plus, minus = ladder_operators(params, p, "orthonormal", FT_CORRECTED)
+    plus, minus = ladder_operators(params, p, "orthonormal")
     op = plus[index - 1] if sign == "+" else minus[index - 1]
     eps = energies.epsilons[index - 1 if index <= m else index - m - 1]
     scale = eps if sign == "+" else -eps

@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 from fractions import Fraction
+from math import factorial, prod
 
 import pytest
 
@@ -34,7 +35,13 @@ from zzsl import (
 from zzsl import algebra, fock, statistics
 from zzsl.algebra import relation_report, sweep_indices
 from zzsl.fock import BASIS_KINDS, MAX_BASIS_DIMENSION
-from zzsl.reports import DiscriminationReport, RelationFailure, RelationReport, VariantOutcome
+from zzsl.reports import (
+    DiscriminationReport,
+    RelationFailure,
+    RelationReport,
+    RepresentationReport,
+    VariantOutcome,
+)
 
 
 def small_sweep(total_max):
@@ -368,12 +375,35 @@ def test_variant_requires_tilde_orbital():
     assert all(o.passed for o in report.outcomes)
 
 
+def _variant_operators(P, p, variant):
+    """Every orthonormal operator of a slot variant, each built directly by
+    ``fock.operator_matrix`` (so a planted ``operator_matrix`` reaches it)."""
+    return tuple(
+        [
+            fock.operator_matrix(GeneratorId(i, sign), P, p, "orthonormal", variant)
+            for i in P.operator_indices()
+        ]
+        for sign in "+-"
+    )
+
+
 def _reference_discrimination(P, p):
-    """The discrimination rebuilt from a full ``verify_representation`` per
-    variant and its ``first_relation_failure``."""
+    """The discrimination rebuilt from a full verification per variant and
+    its ``first_relation_failure``: ``verify_representation`` for the
+    corrected variant; the full orthonormal sweep, then the vacuum and
+    adjointness suites, on every operator of a theta-slot variant."""
     outcomes = []
     for variant in ft_variants():
-        report = verify_representation(P, p, variant)
+        if variant == FT_CORRECTED:
+            report = verify_representation(P, p)
+        else:
+            ops = _variant_operators(P, p, variant)
+            suites = [
+                relation_report(P, "relations-orthonormal", *ops, sweep_indices(P)),
+                fock._vacuum_suite(P, p, "orthonormal", *ops),
+                fock._adjointness_suite(P, *ops),
+            ]
+            report = RepresentationReport(P.as_tuple(), p, variant.label, suites)
         first = report.first_relation_failure
         failure = None if first is None else {"suite": first[0], **first[1].to_json()}
         outcomes.append(VariantOutcome(variant.label, report.passed, failure))
@@ -388,9 +418,9 @@ def test_discrimination_equals_the_full_verification_of_every_variant():
         assert got == _reference_discrimination(P, p).to_json(), (P, p)
 
 
-def _recording_variants(honest, seen):
+def _recording_operators(honest, seen):
     def suite(*args):
-        seen.append(args[-1])  # the f-tilde slot variant
+        seen.append(args[-2:])  # the (raising, lowering) operators checked
         return honest(*args)
 
     return suite
@@ -398,9 +428,9 @@ def _recording_variants(honest, seen):
 
 def test_theta_slot_sweeps_stop_at_their_first_failure(monkeypatch):
     P, p = AlgebraParams(1, 1, 1, 1), 3
-    variants = {name: [] for name in ("_vacuum_suite", "_adjointness_suite")}
-    for name, seen in variants.items():
-        monkeypatch.setattr(fock, name, _recording_variants(getattr(fock, name), seen))
+    checked = {name: [] for name in ("_vacuum_suite", "_adjointness_suite")}
+    for name, seen in checked.items():
+        monkeypatch.setattr(fock, name, _recording_operators(getattr(fock, name), seen))
     brackets = [0]
     honest_bracket = algebra.graded_bracket
 
@@ -418,10 +448,12 @@ def test_theta_slot_sweeps_stop_at_their_first_failure(monkeypatch):
     monkeypatch.setattr(fock, "relation_failures", spy)
     report = ft_variant_discrimination(P, p)
     assert report.corrected_only_passes
-    assert variants == {"_vacuum_suite": [FT_CORRECTED] * 2, "_adjointness_suite": [FT_CORRECTED]}
+    # only the corrected variant's verification runs these suites
+    ortho, unnorm = (ladder_operators(P, p, kind) for kind in BASIS_KINDS)
+    assert checked == {"_vacuum_suite": [ortho, unnorm], "_adjointness_suite": [ortho]}
     per_sweep = [b - a for a, b in zip(starts, starts[1:] + brackets)]
     # for scale, one theta-slot sweep run in full: it fails more than once
-    plus, minus = ladder_operators(P, p, "orthonormal", ft_variants()[3])
+    plus, minus = _variant_operators(P, p, ft_variants()[3])
     brackets[0] = 0
     assert len(list(honest_failures(P, plus, minus, sweep_indices(P)))) > 1
     full = brackets[0]
@@ -459,20 +491,16 @@ def test_a_variant_whose_sweep_passes_runs_its_other_suites(monkeypatch):
 def test_a_variant_that_is_not_an_ftildevariant_is_a_type_error(variant):
     P = AlgebraParams(1, 1, 1, 1)
     with pytest.raises(TypeError, match="FTildeVariant"):
-        verify_representation(P, 2, variant)
-    with pytest.raises(TypeError, match="FTildeVariant"):
         operator_matrix(GeneratorId(4, "+"), P, 2, "orthonormal", variant)
 
 
 @pytest.mark.parametrize("blocks", [(0, 0, 0, 0), (1, 0, 0, 0), (1, 1, 1, 1)])
 @pytest.mark.parametrize("variant", ["x", None])
 def test_the_variant_is_checked_whatever_the_composition(blocks, variant):
-    # with m+n = 0 no operator is built, so only an up-front check sees it
+    # checked before the generator: with m+n = 0 the index 1 is out of range
     P = AlgebraParams(*blocks)
     with pytest.raises(TypeError, match="ft_variant must be an FTildeVariant"):
-        verify_representation(P, 1, variant)
-    with pytest.raises(TypeError, match="ft_variant must be an FTildeVariant"):
-        ladder_operators(P, 1, "orthonormal", variant)
+        operator_matrix(GeneratorId(1, "+"), P, 1, "orthonormal", variant)
 
 
 def test_single_quantum_state_layout():
@@ -481,6 +509,23 @@ def test_single_quantum_state_layout():
     assert single_quantum_state(P, 4) == FockState((0,), (0,), (0,), (1,))
     with pytest.raises(ValueError):
         single_quantum_state(P, 5)
+
+
+_INDEX_TAKERS = {
+    "index_grade": lambda P, i: P.index_grade(i),
+    "single_quantum_state": single_quantum_state,
+    "occupation": lambda P, i: FockState.vacuum(P).occupation(i, P),
+    "GeneratorId": lambda P, i: GeneratorId(i, "+").grade(P),
+}
+
+
+@pytest.mark.parametrize("bad", [True, False, 1.5, 2.0, Fraction(2)])
+@pytest.mark.parametrize("taker", sorted(_INDEX_TAKERS))
+def test_an_index_that_is_not_an_int_is_rejected(taker, bad):
+    P = AlgebraParams(1, 1, 1, 1)
+    assert _INDEX_TAKERS[taker](P, 2) is not None  # an int in range is taken
+    with pytest.raises(ValueError):
+        _INDEX_TAKERS[taker](P, bad)
 
 
 # sha256 of the JSON list of operator_matrix(...).to_json() over
@@ -565,7 +610,8 @@ _THETA_VACUUM_DIGESTS = {
 def test_theta_variant_vacuum_failures_are_pinned():
     for (blocks, p, label), digest in _THETA_VACUUM_DIGESTS.items():
         (variant,) = [v for v in ft_variants() if v.label == label]
-        suite = verify_representation(AlgebraParams(*blocks), p, variant).suite("vacuum-orthonormal")
+        P = AlgebraParams(*blocks)
+        suite = fock._vacuum_suite(P, p, "orthonormal", *_variant_operators(P, p, variant))
         assert suite.failures
         got = hashlib.sha256(json.dumps(suite.to_json()).encode()).hexdigest()
         assert got == digest, (blocks, p, label)
@@ -690,6 +736,103 @@ def test_every_part_of_the_ladder_rule_is_checked(monkeypatch, name):
     assert rep.first_relation_failure is not None
     got = hashlib.sha256(json.dumps(rep.to_json()).encode()).hexdigest()
     assert got == _RULE_FAULT_DIGESTS[name]
+
+
+# ------------------------------------------ the colour-symmetric power oracle
+#
+# The order-p module is the p-th colour-symmetric power of the defining
+# module.  Its states are the monomials x^n = x_0^n_0 x_1^n_1 ... x_N^n_N
+# with n_0 = p - R, in variables of degree d_i that commute up to
+# eps(d_i, d_j) = (-1)**(d_i . d_j); a variable with d . d = 1 squares to
+# zero.  The ladder operators are the derivations a_i^+ = x_i d/dx_0 and
+# a_i^- = x_0 d/dx_i, on the orthonormal basis x^n / sqrt(prod n_j!) or the
+# unnormalized basis (p! / n_0!) x^n.  The matrices below follow from the
+# commutation factor alone; nothing here calls the ladder rule.
+
+_BLOCK_DEGREES = ((0, 0), (1, 1), (1, 0), (0, 1))  # b, bt, f, ft
+
+
+def _variable_degrees(P):
+    """d_0, ..., d_{m+n}, from the block sizes."""
+    sizes = (P.m1, P.m2, P.n1, P.n2)
+    return [(0, 0)] + [d for d, size in zip(_BLOCK_DEGREES, sizes) for _ in range(size)]
+
+
+def _eps(g, h):
+    return -1 if (g[0] * h[0] + g[1] * h[1]) % 2 else 1
+
+
+def _passing_sign(v, n, d):
+    """The factor x_v (or d/dx_v) picks up passing x_0^n_0 ... x_{v-1}^n_{v-1}."""
+    return prod(_eps(d[v], d[j]) ** n[j] for j in range(v))
+
+
+def _shift(n, v, by):
+    return n[:v] + (n[v] + by,) + n[v + 1 :]
+
+
+def _derivation(n, up, down, d):
+    """x_up d/dx_down applied to x^n: (integer coefficient, exponents) or None."""
+    if not n[down]:
+        return None
+    coeff, n = _passing_sign(down, n, d) * n[down], _shift(n, down, -1)
+    if n[up] and _eps(d[up], d[up]) == -1:  # x_up squares to zero
+        return None
+    return coeff * _passing_sign(up, n, d), _shift(n, up, 1)
+
+
+def _scale_square(n, p, kind):
+    """The square of the factor c_n of the basis vector c_n x^n."""
+    if kind == "orthonormal":
+        return Fraction(1, prod(factorial(k) for k in n))
+    return Fraction(factorial(p), factorial(n[0])) ** 2
+
+
+def _symmetric_power_matrix(gid, P, p, kind):
+    """{(row, col): coefficient} of a generator on the order-p basis."""
+    basis, d = enumerate_basis(P, p), _variable_degrees(P)
+    up, down = (gid.index, 0) if gid.sign == "+" else (0, gid.index)
+    entries = {}
+    for col, state in enumerate(basis):
+        n = (p - state.total,) + state.occupations()
+        term = _derivation(n, up, down, d)
+        if term is not None:
+            coeff, image = term
+            row = basis.index_of(FockState.from_occupations(P, image[1:]))
+            # c_n x^n maps to coeff x^image = coeff (c_n / c_image) (c_image x^image)
+            ratio = _scale_square(n, p, kind) / _scale_square(image, p, kind)
+            entries[row, col] = RadicalSum.sqrt_fraction(ratio) * coeff
+    return entries
+
+
+def _symmetric_power_mismatches(P, p):
+    """The (generator, basis kind) pairs whose operator matrix differs from
+    the colour-symmetric power's."""
+    return [
+        (gid, kind)
+        for kind in BASIS_KINDS
+        for gid in generator_ids(P)
+        if {(r, c): v for r, c, v in operator_matrix(gid, P, p, kind).items()}
+        != _symmetric_power_matrix(gid, P, p, kind)
+    ]
+
+
+def test_every_ladder_matrix_is_the_colour_symmetric_power():
+    compositions = list(small_sweep(4))
+    assert len(compositions) == 70
+    failing = [
+        (P.as_tuple(), p)
+        for P in compositions
+        for p in range(1, 5)
+        if _symmetric_power_mismatches(P, p)
+    ]
+    assert failing == []
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_FAULTS))
+def test_the_symmetric_power_oracle_catches_each_rule_fault(monkeypatch, name):
+    monkeypatch.setattr(fock, "_ladder_rule", _faulty_rule(_RULE_FAULTS[name]))
+    assert _symmetric_power_mismatches(AlgebraParams(1, 1, 1, 1), 2)
 
 
 def test_operator_json_format():
@@ -927,9 +1070,9 @@ def test_each_kind_is_built_once_per_verification(monkeypatch):
 
 def test_slot_variants_share_every_operator_outside_the_ft_block():
     P, p = AlgebraParams(2, 2, 2, 2), 3
-    corrected = ladder_operators(P, p, "orthonormal", FT_CORRECTED)
+    corrected = ladder_operators(P, p, "orthonormal")
     for variant in ft_variants()[1:]:
-        shared = ladder_operators(P, p, "orthonormal", variant)
+        shared = fock._slot_variant_operators(P, p, variant)
         for sign, ops, ref in zip("+-", shared, corrected):
             for i, (op, base) in enumerate(zip(ops, ref), start=1):
                 direct = operator_matrix(GeneratorId(i, sign), P, p, "orthonormal", variant)
@@ -945,41 +1088,78 @@ def test_slot_variants_share_every_operator_outside_the_ft_block():
 _FAMILY_TAGS = {"rel1+": "pair+", "rel1-": "pair-", "rel2": "triple+", "rel3": "triple-"}
 
 
-def _direct_family_sweep(family, P, p):
-    """A standalone orthonormal family as a direct sweep at its indices."""
+def _direct_family_sweep(family, P, p, kind="orthonormal"):
+    """A standalone family as a direct sweep at its indices."""
     indices = statistics._family_indices(family, P)
-    plus, minus = ladder_operators(P, p, "orthonormal")
+    plus, minus = ladder_operators(P, p, kind)
     report = relation_report(P, family, plus, minus, indices)
     failures = [RelationFailure(_FAMILY_TAGS[f.relation], f.indices, f.residual) for f in report.failures]
     return RelationReport(P.as_tuple(), family, report.checked, failures)
 
 
-def _family_digests(points):
+def _family_digests(points, kind="orthonormal"):
     routed, direct = hashlib.sha256(), hashlib.sha256()
     for P, p in points:
         for family in FAMILIES:
-            routed.update(json.dumps(relation_suite(family, P, p).to_json()).encode())
-            direct.update(json.dumps(_direct_family_sweep(family, P, p).to_json()).encode())
+            routed.update(json.dumps(relation_suite(family, P, p, kind).to_json()).encode())
+            direct.update(json.dumps(_direct_family_sweep(family, P, p, kind).to_json()).encode())
     return routed.hexdigest(), direct.hexdigest()
 
 
 _SMALL_BLOCKS = [b for b in itertools.product(range(3), repeat=4) if sum(b) <= 4]
 
 
-@pytest.mark.parametrize("name", [None, "sign", "weight"])
-def test_standalone_families_equal_the_direct_sweep(monkeypatch, name):
+# sha256 of the 750 standalone family reports of one basis kind, under one
+# rule fault (None: honest), recorded from the direct sweep before the route.
+# Every honest family passes, so both kinds render alike there.
+_HONEST_FAMILY_DIGEST = "040c1193156a9e68c663bb1ffdcc258c43c4976cd89207ef45d2026edf4a611c"
+_FAMILY_DIGESTS = {
+    ("orthonormal", None): _HONEST_FAMILY_DIGEST,
+    ("orthonormal", "sign"): _HONEST_FAMILY_DIGEST,
+    ("orthonormal", "weight"): "ea531a46bb52f0f926524113412eb6637a59f4e6751cc337f93f306be1f73315",
+    ("unnormalized", None): _HONEST_FAMILY_DIGEST,
+    ("unnormalized", "lowering-factor"): "db7ca4c3d20309e484fa5084b1990eac3fe88b5085cb90d2a94739d41df10e94",
+}
+
+
+@pytest.mark.parametrize(
+    "kind, name",
+    [
+        pytest.param(kind, name, id=str(name) if kind == "orthonormal" else f"{kind}-{name}")
+        for kind, name in _FAMILY_DIGESTS
+    ],
+)
+def test_standalone_families_equal_the_direct_sweep(monkeypatch, kind, name):
     if name is not None:
         monkeypatch.setattr(fock, "_ladder_rule", _faulty_rule(_RULE_FAULTS[name]))
     points = [(AlgebraParams(*blocks), p) for blocks in _SMALL_BLOCKS for p in (1, 2, 3)]
     ladder_operators.cache_clear()
     try:
-        routed, direct = _family_digests(points)
+        routed, direct = _family_digests(points, kind)
     finally:
         ladder_operators.cache_clear()
-    assert routed == direct
-    if name is None:
-        # the direct sweep's digest over these 750 reports, before the route
-        assert routed == "040c1193156a9e68c663bb1ffdcc258c43c4976cd89207ef45d2026edf4a611c"
+    assert routed == direct == _FAMILY_DIGESTS[kind, name]
+
+
+def test_a_standalone_family_builds_only_the_operators_it_touches(monkeypatch):
+    P, p = AlgebraParams(2, 2, 2, 2), 3
+    honest, built = fock.operator_matrix, []
+
+    def counted(gid, params, p, basis_kind="orthonormal", ft_variant=FT_CORRECTED):
+        built.append((gid, basis_kind))
+        return honest(gid, params, p, basis_kind, ft_variant)
+
+    monkeypatch.setattr(fock, "operator_matrix", counted)
+    ladder_operators.cache_clear()
+    try:
+        assert relation_suite("A1-ft", P, p, "unnormalized").passed
+    finally:
+        ladder_operators.cache_clear()
+    # the 2 * n2 f-tilde operators, once on each basis kind
+    ft = range(P.m + P.n1 + 1, P.m + P.n + 1)
+    expected = {(GeneratorId(i, sign), kind) for kind in BASIS_KINDS for i in ft for sign in "+-"}
+    assert len(built) == len(set(built)) == 2 * 2 * P.n2
+    assert set(built) == expected
 
 
 _DOUBLE_LOWERING = lambda honest: _replace_first_entry(  # noqa: E731

@@ -1,5 +1,6 @@
 """Statistics families, Hamiltonian, ladder relations, spectra, occupancy."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
@@ -142,7 +143,7 @@ def test_family_view_rejects_a_foreign_report():
         relation_suite("A-stat", P, 1, representation=rep)
     with pytest.raises(ValueError):
         relation_suite("A-stat", AlgebraParams(1, 0, 1, 0), 2, representation=rep)
-    variant = verify_representation(P, 2, ft_variant=FTildeVariant("lambda", "theta"))
+    variant = dataclasses.replace(rep, variant=FTildeVariant("lambda", "theta").label)
     with pytest.raises(ValueError):
         relation_suite("MixA1", P, 2, representation=variant)
     Q = AlgebraParams(1, 0, 1, 0)
