@@ -207,6 +207,8 @@ class FockBasis:
 
     def index_grade(self, i: int) -> Grade:
         """Degree of the i-th basis state, which grades operators entry by entry."""
+        if type(i) is not int or not 0 <= i < len(self.states):  # nor a bool
+            raise ValueError(f"basis index {i!r} is not an int in 0..{len(self.states) - 1}")
         return self.states[i].degree(self.params)
 
     def __iter__(self):
@@ -238,17 +240,6 @@ def _bits(length: int, cap: int):
             yield combo
 
 
-def _check_order(params: AlgebraParams, p: int) -> None:
-    """Reject an order that is not a positive integer, or whose module's
-    closed-form dimension exceeds ``MAX_BASIS_DIMENSION``."""
-    expected = closed_form_dimension(params, p)
-    if expected > MAX_BASIS_DIMENSION:
-        raise ValueError(
-            f"Fock module of order {p} for {params.as_tuple()} has dimension {expected}, "
-            f"above the enumeration limit {MAX_BASIS_DIMENSION}"
-        )
-
-
 # typed: a bool order must miss the entry cached for the int 1
 @lru_cache(maxsize=256, typed=True)
 def enumerate_basis(params: AlgebraParams, p: int) -> FockBasis:
@@ -258,7 +249,7 @@ def enumerate_basis(params: AlgebraParams, p: int) -> FockBasis:
     labelled by p = 1, 2, ...  A module whose closed-form dimension exceeds
     ``MAX_BASIS_DIMENSION`` is rejected before any state is built.
     """
-    _check_order(params, p)
+    _check_order_range(params, p, p)
     states: list[FockState] = []
     for r in _counts(params.m1, p):
         left = p - sum(r)
@@ -292,16 +283,23 @@ def closed_form_dimension(params: AlgebraParams, p: int) -> int:
 
 
 def _check_order_range(params: AlgebraParams, lo: int, hi: int) -> None:
-    """Reject an order range before any work: at its top module first
-    (``_check_order``), then when its modules, which the ``enumerate_basis``
-    cache may hold all at once, exceed ``MAX_BASIS_DIMENSION`` states in all.
+    """Reject an order range before any work: first when its top order is
+    not a positive integer or its top module's closed-form dimension exceeds
+    ``MAX_BASIS_DIMENSION``, then when its modules, which the
+    ``enumerate_basis`` cache may hold all at once, exceed that many states
+    in all.  ``enumerate_basis`` checks its one order as the range p..p.
 
     The sum of ``closed_form_dimension`` over p = lo..hi takes O(n) terms
     whatever the length of the range: for k fermions the bosonic counts
     C(j+m, m), j = p-k, telescope by the hockey-stick identity
     sum_{j<=b} C(j+m, m) = C(b+m+1, m+1).
     """
-    _check_order(params, hi)
+    top = closed_form_dimension(params, hi)
+    if top > MAX_BASIS_DIMENSION:
+        raise ValueError(
+            f"Fock module of order {hi} for {params.as_tuple()} has dimension {top}, "
+            f"above the enumeration limit {MAX_BASIS_DIMENSION}"
+        )
     m, n = params.m, params.n
     total = sum(
         comb(n, k) * (comb(hi - k + m + 1, m + 1) - comb(max(lo - k, 0) + m, m + 1))
@@ -487,7 +485,10 @@ def ladder_operators(
 ) -> tuple[tuple[SparseOperator, ...], tuple[SparseOperator, ...]]:
     """(raising, lowering) operator matrices of the corrected f-tilde reading
     for indices 1..m+n.  The cache keys on the arguments as passed: the
-    package passes all three, so each module's operators are built once."""
+    package passes all three, so each module's operators are built once.
+    The kind and the order are checked even where no operator is built."""
+    _check_kind(basis_kind)
+    enumerate_basis(params, p)
     return tuple(
         tuple(
             operator_matrix(GeneratorId(i, sign), params, p, basis_kind)
@@ -648,17 +649,18 @@ def _corrected_relation_sweeps(
 ) -> tuple[RelationReport, RelationReport]:
     """The unnormalized and orthonormal relation sweeps at ``indices``: the
     one route of both, for ``verify_representation`` and for a standalone
-    ``relation_suite`` of either basis kind.
+    ``statistics.relation_suite``, which reads the orthonormal one.
 
     Both kinds are built only at the indices the sweep touches.  The
-    unnormalized sweep runs in full, in integer arithmetic.  When
-    ``_orthonormal_is_conjugate`` holds for the touched operators, every
-    orthonormal operator is N^-1 U N for its unnormalized partner, both
-    declare the same grades, and every residual at these indices, a
-    polynomial in the touched operators, is the unnormalized residual
-    conjugated by N.  It vanishes exactly where that one does, so the
-    orthonormal sweep runs only at the indices where the unnormalized one
-    failed.  When the check declines, it runs in full.  Either way its
+    unnormalized sweep runs in full, in integer arithmetic.  Then
+    ``_orthonormal_is_conjugate`` checks exactly, by signs and rational
+    squares, that every touched orthonormal operator O is N^-1 U N for its
+    unnormalized partner U, with N the diagonal of norm factors, and that
+    both declare the same grade.  When it holds, every residual at these
+    indices, a polynomial in the touched operators, is the unnormalized
+    residual conjugated by N.  It vanishes exactly where that one does, so
+    the orthonormal sweep runs only at the indices where the unnormalized
+    one failed.  When the check declines, it runs in full.  Either way its
     report counts the checks of the whole sweep.
     """
     basis = enumerate_basis(params, p)  # checks the order even where nothing is built
@@ -682,10 +684,8 @@ def verify_representation(params: AlgebraParams, p: int) -> RepresentationReport
     (transposition, since all entries are real radicals), and the spanning
     check from the vacuum.
 
-    The two sweeps take ``_corrected_relation_sweeps``: the integer
-    unnormalized sweep, then an exact conjugation check by signs and
-    rational squares, then the orthonormal sweep only where the unnormalized
-    one failed, or in full when the check declines.
+    The two sweeps take ``_corrected_relation_sweeps``, which states how the
+    orthonormal one follows from the integer unnormalized one.
     """
     unnorm, ortho = _corrected_relation_sweeps(params, p, sweep_indices(params))
     ortho_ops = ladder_operators(params, p, "orthonormal")

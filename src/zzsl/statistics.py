@@ -18,7 +18,6 @@ from .fock import (
     FT_CORRECTED,
     FockState,
     SparseOperator,
-    _check_kind,
     _corrected_relation_sweeps,
     dimension,
     enumerate_basis,
@@ -113,39 +112,32 @@ def relation_suite(
     family: str,
     params: AlgebraParams,
     p: int,
-    basis_kind: str = "orthonormal",
+    *,
     representation: RepresentationReport | None = None,
 ) -> RelationReport:
-    """Evaluate one family of (anti)commutator identities on the Fock matrices.
+    """Evaluate one family of (anti)commutator identities on the orthonormal
+    Fock matrices.
 
     The family's checks are those of the relation sweep at
     ``_family_indices``, tagged pair+/pair-/triple+/triple-.  Given the
     ``verify_representation(params, p)`` report as ``representation``, the
-    failures are read from its ``relations-<basis_kind>`` suite instead of
-    being recomputed.  Empty index ranges give a vacuous pass with zero checks.
-
-    Without a report, a family of either basis kind takes the route of
+    failures are read from its ``relations-orthonormal`` suite instead of
+    being recomputed.  Without one, the family takes the route of
     ``verify_representation``, ``fock._corrected_relation_sweeps`` at the
-    family's indices, and reads that kind's sweep: the operators those
-    indices touch are built on both kinds, the unnormalized sweep runs in
-    integers, and an exact conjugation check compares each orthonormal entry
-    with its unnormalized partner by sign and by rational square.  The
-    orthonormal sweep then runs only where the unnormalized one failed, or
-    in full when the check declines.
+    family's indices, and reads its orthonormal sweep.  Empty index ranges
+    give a vacuous pass with zero checks.
     """
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}; expected one of {FAMILIES}")
-    _check_kind(basis_kind)
     indices = _family_indices(family, params)
     if representation is None:
-        unnorm, ortho = _corrected_relation_sweeps(params, p, indices)
-        sweep = ortho if basis_kind == "orthonormal" else unnorm
+        sweep = _corrected_relation_sweeps(params, p, indices)[1]
     elif (representation.params, representation.p, representation.variant) != (
         params.as_tuple(), p, FT_CORRECTED.label
     ):
         raise ValueError("representation report is for other params, order or variant")
     else:
-        sweep = representation.suite(f"relations-{basis_kind}")
+        sweep = representation.suite("relations-orthonormal")
     # the family's failures in its check order (a report's sweep covers every index)
     found = {(f.relation, f.indices): f for f in sweep.failures}
     failures = [

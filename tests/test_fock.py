@@ -7,6 +7,8 @@ from fractions import Fraction
 from math import factorial, prod
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zzsl import (
     FAMILIES,
@@ -33,7 +35,7 @@ from zzsl import (
     verify_representation,
 )
 from zzsl import algebra, fock, statistics
-from zzsl.algebra import relation_report, sweep_indices
+from zzsl.algebra import checks_at, relation_report, sweep_indices
 from zzsl.fock import BASIS_KINDS, MAX_BASIS_DIMENSION
 from zzsl.reports import (
     DiscriminationReport,
@@ -92,6 +94,17 @@ def test_basis_rejects_p_zero():
         enumerate_basis(AlgebraParams(1, 0, 0, 0), True)
     with pytest.raises(ValueError):
         ladder_operators(AlgebraParams(1, 0, 0, 0), True)
+
+
+def test_ladder_operators_check_their_arguments_without_orbitals():
+    # at m+n = 0 no operator is built, and a bad kind or order still fails
+    P = AlgebraParams(0, 0, 0, 0)
+    assert ladder_operators(P, 1, "orthonormal") == ((), ())
+    cached = ladder_operators.cache_info().currsize
+    for p, kind in ((0, "orthonormal"), (1, "nope"), (True, "orthonormal")):
+        with pytest.raises(ValueError):
+            ladder_operators(P, p, kind)
+    assert ladder_operators.cache_info().currsize == cached
 
 
 def test_basis_size_guard_and_bounded_cache():
@@ -334,16 +347,59 @@ def test_verify_classical_subcase():
     assert verify_representation(AlgebraParams(2, 0, 2, 0), 2).passed
 
 
+# sha256 of the 350 reports' JSON below, concatenated in the test's order,
+# recorded before the statistics families lost their basis kind.
+_RANGE_DIGEST = "b9bcd39cdfb6566161ab000d6632f96e3cbfd62af8c855580e86232229d05d05"
+
+
 def test_every_module_up_to_four_orbitals_and_order_five_verifies():
     compositions = list(small_sweep(4))
     assert len(compositions) == 70
-    failing = [
-        (P.as_tuple(), p)
-        for P in compositions
-        for p in range(1, 6)
-        if not verify_representation(P, p).passed
-    ]
+    digest, failing = hashlib.sha256(), []
+    for P in compositions:
+        for p in range(1, 6):
+            report = verify_representation(P, p)
+            digest.update(json.dumps(report.to_json()).encode())
+            if not report.passed:
+                failing.append((P.as_tuple(), p))
     assert failing == []
+    assert digest.hexdigest() == _RANGE_DIGEST
+
+
+@st.composite
+def _spot_checks(draw):
+    """A composition with m+n = 6 or 7, an order p <= 3, and up to 40 of
+    its sweep indices."""
+    left = draw(st.sampled_from((6, 7)))
+    blocks = []
+    for _ in range(3):
+        blocks.append(draw(st.integers(0, left)))
+        left -= blocks[-1]
+    P = AlgebraParams(*blocks, left)
+    indices = draw(st.lists(st.sampled_from(sweep_indices(P)), min_size=1, max_size=40, unique=True))
+    return P, draw(st.integers(1, 3)), indices
+
+
+@settings(max_examples=30, deadline=None)
+@given(_spot_checks())
+def test_relations_hold_at_sampled_indices_past_the_exhaustive_range(spot):
+    P, p, indices = spot
+    for kind in BASIS_KINDS:
+        report = relation_report(P, kind, *ladder_operators(P, p, kind), indices)
+        assert report.checked == checks_at(indices)
+        assert report.failures == [], (P.as_tuple(), p, kind)
+
+
+def test_a_spot_check_past_the_exhaustive_range_sees_a_rule_fault(monkeypatch):
+    P, p = AlgebraParams(2, 1, 2, 1), 2
+    monkeypatch.setattr(fock, "_ladder_rule", _faulty_rule(_RULE_FAULTS["weight"]))
+    ladder_operators.cache_clear()
+    try:
+        plus, minus = ladder_operators(P, p, "orthonormal")
+    finally:
+        ladder_operators.cache_clear()
+    failures = relation_report(P, "spot", plus, minus, [(1, 2, 1), (2, 3, 4)]).failures
+    assert {f.indices for f in failures} == {(1, 2, 1)}
 
 
 def test_spanning_rank_equals_dimension():
@@ -513,6 +569,7 @@ def test_single_quantum_state_layout():
 
 _INDEX_TAKERS = {
     "index_grade": lambda P, i: P.index_grade(i),
+    "basis.index_grade": lambda P, i: enumerate_basis(P, 2).index_grade(i),
     "single_quantum_state": single_quantum_state,
     "occupation": lambda P, i: FockState.vacuum(P).occupation(i, P),
     "GeneratorId": lambda P, i: GeneratorId(i, "+").grade(P),
@@ -526,6 +583,14 @@ def test_an_index_that_is_not_an_int_is_rejected(taker, bad):
     assert _INDEX_TAKERS[taker](P, 2) is not None  # an int in range is taken
     with pytest.raises(ValueError):
         _INDEX_TAKERS[taker](P, bad)
+
+
+def test_a_basis_index_out_of_range_is_rejected():
+    basis = enumerate_basis(AlgebraParams(1, 1, 1, 1), 2)
+    assert basis.index_grade(len(basis) - 1) == basis.states[-1].degree(basis.params)
+    for bad in (-1, len(basis)):
+        with pytest.raises(ValueError):
+            basis.index_grade(bad)
 
 
 # sha256 of the JSON list of operator_matrix(...).to_json() over
@@ -1088,57 +1153,48 @@ def test_slot_variants_share_every_operator_outside_the_ft_block():
 _FAMILY_TAGS = {"rel1+": "pair+", "rel1-": "pair-", "rel2": "triple+", "rel3": "triple-"}
 
 
-def _direct_family_sweep(family, P, p, kind="orthonormal"):
-    """A standalone family as a direct sweep at its indices."""
+def _direct_family_sweep(family, P, p):
+    """A standalone family as a direct orthonormal sweep at its indices."""
     indices = statistics._family_indices(family, P)
-    plus, minus = ladder_operators(P, p, kind)
+    plus, minus = ladder_operators(P, p, "orthonormal")
     report = relation_report(P, family, plus, minus, indices)
     failures = [RelationFailure(_FAMILY_TAGS[f.relation], f.indices, f.residual) for f in report.failures]
     return RelationReport(P.as_tuple(), family, report.checked, failures)
 
 
-def _family_digests(points, kind="orthonormal"):
+def _family_digests(points):
     routed, direct = hashlib.sha256(), hashlib.sha256()
     for P, p in points:
         for family in FAMILIES:
-            routed.update(json.dumps(relation_suite(family, P, p, kind).to_json()).encode())
-            direct.update(json.dumps(_direct_family_sweep(family, P, p, kind).to_json()).encode())
+            routed.update(json.dumps(relation_suite(family, P, p).to_json()).encode())
+            direct.update(json.dumps(_direct_family_sweep(family, P, p).to_json()).encode())
     return routed.hexdigest(), direct.hexdigest()
 
 
 _SMALL_BLOCKS = [b for b in itertools.product(range(3), repeat=4) if sum(b) <= 4]
 
 
-# sha256 of the 750 standalone family reports of one basis kind, under one
-# rule fault (None: honest), recorded from the direct sweep before the route.
-# Every honest family passes, so both kinds render alike there.
+# sha256 of the 750 standalone family reports under one rule fault (None:
+# honest), recorded from the direct sweep before the route.
 _HONEST_FAMILY_DIGEST = "040c1193156a9e68c663bb1ffdcc258c43c4976cd89207ef45d2026edf4a611c"
 _FAMILY_DIGESTS = {
-    ("orthonormal", None): _HONEST_FAMILY_DIGEST,
-    ("orthonormal", "sign"): _HONEST_FAMILY_DIGEST,
-    ("orthonormal", "weight"): "ea531a46bb52f0f926524113412eb6637a59f4e6751cc337f93f306be1f73315",
-    ("unnormalized", None): _HONEST_FAMILY_DIGEST,
-    ("unnormalized", "lowering-factor"): "db7ca4c3d20309e484fa5084b1990eac3fe88b5085cb90d2a94739d41df10e94",
+    None: _HONEST_FAMILY_DIGEST,
+    "sign": _HONEST_FAMILY_DIGEST,
+    "weight": "ea531a46bb52f0f926524113412eb6637a59f4e6751cc337f93f306be1f73315",
 }
 
 
-@pytest.mark.parametrize(
-    "kind, name",
-    [
-        pytest.param(kind, name, id=str(name) if kind == "orthonormal" else f"{kind}-{name}")
-        for kind, name in _FAMILY_DIGESTS
-    ],
-)
-def test_standalone_families_equal_the_direct_sweep(monkeypatch, kind, name):
+@pytest.mark.parametrize("name", list(_FAMILY_DIGESTS), ids=str)
+def test_standalone_families_equal_the_direct_sweep(monkeypatch, name):
     if name is not None:
         monkeypatch.setattr(fock, "_ladder_rule", _faulty_rule(_RULE_FAULTS[name]))
     points = [(AlgebraParams(*blocks), p) for blocks in _SMALL_BLOCKS for p in (1, 2, 3)]
     ladder_operators.cache_clear()
     try:
-        routed, direct = _family_digests(points, kind)
+        routed, direct = _family_digests(points)
     finally:
         ladder_operators.cache_clear()
-    assert routed == direct == _FAMILY_DIGESTS[kind, name]
+    assert routed == direct == _FAMILY_DIGESTS[name]
 
 
 def test_a_standalone_family_builds_only_the_operators_it_touches(monkeypatch):
@@ -1152,7 +1208,7 @@ def test_a_standalone_family_builds_only_the_operators_it_touches(monkeypatch):
     monkeypatch.setattr(fock, "operator_matrix", counted)
     ladder_operators.cache_clear()
     try:
-        assert relation_suite("A1-ft", P, p, "unnormalized").passed
+        assert relation_suite("A1-ft", P, p).passed
     finally:
         ladder_operators.cache_clear()
     # the 2 * n2 f-tilde operators, once on each basis kind

@@ -146,13 +146,11 @@ def test_family_view_rejects_a_foreign_report():
     variant = dataclasses.replace(rep, variant=FTildeVariant("lambda", "theta").label)
     with pytest.raises(ValueError):
         relation_suite("MixA1", P, 2, representation=variant)
-    Q = AlgebraParams(1, 0, 1, 0)
-    errors = []
-    for view in (None, verify_representation(Q, 1)):
-        with pytest.raises(ValueError) as caught:
-            relation_suite("A-stat", Q, 1, basis_kind="nope", representation=view)
-        errors.append(str(caught.value))
-    assert errors[0] == errors[1]
+    # a family reads the orthonormal sweep only, and a report only by keyword
+    with pytest.raises(TypeError):
+        relation_suite("A-stat", P, 2, basis_kind="orthonormal")
+    with pytest.raises(TypeError):
+        relation_suite("A-stat", P, 2, rep)
 
 
 def test_hamiltonian_small_case():
