@@ -160,9 +160,11 @@ def relation_failures(
     (i, j, k) compares [[a_i^+, a_j^-], a_k^+] with ``rel2_terms`` (rel2) and
     [[a_i^+, a_j^-], a_k^-] with ``rel3_terms`` (rel3).  Each bracket is
     computed only when the sweep reaches it, so a caller that needs only the
-    first failure stops the sweep there.
+    first failure stops the sweep there.  Only the current (i, j)'s inner
+    bracket is kept: every caller groups its triples by (i, j).  A residual
+    subtracts each expected ``coeff * a_t`` from its fresh bracket in place.
     """
-    inner: dict = {}
+    inner_at = None
     for idx in indices:
         if len(idx) == 2:
             i, j = idx
@@ -172,13 +174,12 @@ def relation_failures(
                     yield RelationFailure(tag, idx, res.to_json())
             continue
         i, j, k = idx
-        bij = inner.get((i, j))
-        if bij is None:
-            bij = inner[i, j] = graded_bracket(plus[i - 1], minus[j - 1])
+        if inner_at != (i, j):
+            inner_at, bij = (i, j), graded_bracket(plus[i - 1], minus[j - 1])
         for tag, ops, terms in zip(RELATION_TAGS[3], (plus, minus), (rel2_terms, rel3_terms)):
             res = graded_bracket(bij, ops[k - 1])
-            for coeff, t in terms(params, i, j, k):  # coefficients are +1 or -1
-                res = res - ops[t - 1] if coeff == 1 else res + ops[t - 1]
+            for coeff, t in terms(params, i, j, k):
+                ops[t - 1]._add_into(res._entries, -coeff)
             if not res.is_zero:
                 yield RelationFailure(tag, idx, res.to_json())
 

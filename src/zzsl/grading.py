@@ -167,15 +167,17 @@ class GradedMatrix(SparseMatrix):
 
 def graded_bracket(x: SparseMatrix, y: SparseMatrix) -> SparseMatrix:
     """Graded bracket of two matrices on one space (GradedMatrix or Fock
-    operator), extended bilinearly over their homogeneous components."""
+    operator), extended bilinearly over their homogeneous components, every
+    product added into one entry dict.  Nonzero x, y declaring a, b give a + b."""
     x._check_same(y)
-    total = None
+    acc, grade = {}, None
     for a, xa in x._components():
         for b, yb in y._components():
             # xa yb - (-1)**(a.b) yb xa
-            term = xa @ yb + yb @ xa if a.dot(b) else xa @ yb - yb @ xa
-            total = term if total is None else total + term
-    return x._like({}) if total is None else total
+            xa._add_product(yb, acc)
+            yb._add_product(xa, acc, 1 if a.dot(b) else -1)
+            grade = None if xa.grade is None or yb.grade is None else a + b
+    return x._like(acc, grade)
 
 
 class _BracketTable(dict):
@@ -212,9 +214,9 @@ def axiom_report(params: AlgebraParams) -> AxiomReport:
 
     Checks, on every homogeneous basis pair, the symmetry identity, the
     grading of the bracket and the vanishing of the supertrace of brackets;
-    and the Jacobi identity on every basis triple.  Brackets come from
-    ``graded_bracket`` on interned elements (``_BracketTable``), and each
-    distinct Jacobi residual is formed once.  An algebra with more than
+    and the Jacobi identity on every basis triple.  ``_BracketTable`` gives
+    the units' brackets, then each unit's with each of those, on both sides;
+    each distinct Jacobi residual is formed once.  An algebra with more than
     ``MAX_AXIOM_TRIPLES`` basis triples is rejected with ``ValueError``
     before anything is built.
     """
@@ -232,7 +234,12 @@ def axiom_report(params: AlgebraParams) -> AxiomReport:
         for i in params.indices()
         for j in params.indices()
     ]
-    table = [[brackets[ux, uy] for (_, _, uy, _) in units] for (_, _, ux, _) in units]
+    ids = [u for (_, _, u, _) in units]
+    table = [[brackets[ux, uy] for uy in ids] for ux in ids]
+    # every unit bracketed with every element of the table's image, both sides
+    image = dict.fromkeys(e for row in table for e in row)
+    left = [{e: brackets[ux, e] for e in image} for ux in ids]
+    right = {e: [brackets[e, uz] for uz in ids] for e in image}
 
     failures: list[CheckFailure] = []
     pairs_checked = 0
@@ -251,30 +258,28 @@ def axiom_report(params: AlgebraParams) -> AxiomReport:
             if not st.is_zero:
                 failures.append(CheckFailure("supertrace", (i1, j1, i2, j2), st.to_json()))
 
-    residuals: dict[tuple[int, int, int, int], GradedMatrix] = {}
+    # each distinct residual, keyed by its three bracket ids and sign, with
+    # whether it is zero
+    residuals: dict[tuple[int, int, int, int], tuple[GradedMatrix, bool]] = {}
     triples_checked = 0
-    for x, (i1, j1, ux, a) in enumerate(units):
-        row_x = table[x]
-        for y, (i2, j2, uy, b) in enumerate(units):
-            row_y = table[y]
-            bxy = row_x[y]
+    for x, (i1, j1, _, a) in enumerate(units):
+        row_x, left_x = table[x], left[x]
+        for y, (i2, j2, _, b) in enumerate(units):
+            left_y, right_xy = left[y], right[row_x[y]]
             sign = a.sign(b)
-            for z, (i3, j3, uz, _) in enumerate(units):
+            for (i3, j3, _, _), yz, t2, xz in zip(units, table[y], right_xy, row_x):
                 # [x,[y,z]] - [[x,y],z] - (-1)**(a.b) [y,[x,z]]
-                t1 = brackets[ux, row_y[z]]
-                t2 = brackets[bxy, uz]
-                t3 = brackets[uy, row_x[z]]
+                t1, t3 = left_x[yz], left_y[xz]
                 if t1 or t2 or t3:
                     key = (t1, t2, t3, sign)
-                    res = residuals.get(key)
-                    if res is None:
+                    found = residuals.get(key)
+                    if found is None:
                         res = elements[t1] - elements[t2]
-                        res = residuals[key] = (
-                            res - elements[t3] if sign == 1 else res + elements[t3]
-                        )
-                    if not res.is_zero:
+                        elements[t3]._add_into(res._entries, -sign)
+                        found = residuals[key] = (res, res.is_zero)
+                    if not found[1]:
                         failures.append(
-                            CheckFailure("jacobi", (i1, j1, i2, j2, i3, j3), res.to_json())
+                            CheckFailure("jacobi", (i1, j1, i2, j2, i3, j3), found[0].to_json())
                         )
             triples_checked += len(units)
 

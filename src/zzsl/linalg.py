@@ -127,11 +127,12 @@ class SparseMatrix:
         if self._space != other._space:
             raise ValueError("matrices live in different spaces")
 
-    def _merge(self, other: "SparseMatrix", subtract: bool):
-        """self + other, or self - other as one signed merge."""
-        self._check_same(other)
-        acc = dict(self._entries)
-        for key, c in other._entries.items():
+    def _add_into(self, acc: dict, coeff: int = 1) -> None:
+        """Add ``coeff * self``, a nonzero int ``coeff``, into the entry dict ``acc``."""
+        subtract, entries = coeff < 0, self._entries
+        if abs(coeff) != 1:
+            entries = {key: c * abs(coeff) for key, c in entries.items()}
+        for key, c in entries.items():
             cur = acc.get(key)
             if cur is None:
                 acc[key] = c * -1 if subtract else c
@@ -141,6 +142,34 @@ class SparseMatrix:
                 acc[key] = new
             else:
                 del acc[key]
+
+    def _add_product(self, other: "SparseMatrix", acc: dict, sign: int = 1) -> None:
+        """Add ``sign * (self @ other)`` into ``acc``, walking the right operand's
+        entries against the left one's cached columns: ``A @ v`` costs O(nnz(v))."""
+        cols = self._col_map or self._cols()
+        for (k, j), y in other._entries.items():
+            col = cols.get(k)
+            if col is None:
+                continue
+            if sign < 0:
+                y = y * -1
+            for i, x in col:
+                key = (i, j)
+                cur = acc.get(key)
+                if cur is None:
+                    acc[key] = x * y  # nonzero: a product of nonzero reals
+                    continue
+                new = cur + x * y
+                if new:
+                    acc[key] = new
+                else:
+                    del acc[key]
+
+    def _merge(self, other: "SparseMatrix", subtract: bool):
+        """self + other, or self - other as one signed merge."""
+        self._check_same(other)
+        acc = dict(self._entries)
+        other._add_into(acc, -1 if subtract else 1)
         grade = self.grade
         return self._like(acc, grade if grade == other.grade else None)
 
@@ -164,29 +193,9 @@ class SparseMatrix:
     __rmul__ = __mul__
 
     def __matmul__(self, other):
-        """Product, walking the right operand's entries against the left
-        operand's cached columns, so ``A @ v`` for a vector ``v`` touches
-        only the columns of ``A`` that ``v`` selects."""
         self._check_same(other)
         acc: dict[tuple[int, int], int | RadicalSum] = {}
-        cols = self._col_map
-        if cols is None:
-            cols = self._cols()
-        for (k, j), y in other._entries.items():
-            col = cols.get(k)
-            if col is None:
-                continue
-            for i, x in col:
-                key = (i, j)
-                cur = acc.get(key)
-                if cur is None:
-                    acc[key] = x * y  # nonzero: a product of nonzero reals
-                    continue
-                new = cur + x * y
-                if new:
-                    acc[key] = new
-                else:
-                    del acc[key]
+        self._add_product(other, acc)
         a, b = self.grade, other.grade
         return self._like(acc, None if a is None or b is None else a + b)
 

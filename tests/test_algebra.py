@@ -15,7 +15,9 @@ from zzsl import (
     sl_basis,
     sl_basis_rank,
     verify_defining_relations,
+    verify_representation,
 )
+from zzsl import algebra
 
 from graded import homogeneous_grade
 
@@ -130,3 +132,22 @@ def test_relation_report_json():
     assert data["checked"] == report.checked
     assert data["failures"] == []
     assert data["vacuous"] is False
+
+
+@pytest.mark.parametrize("name, tag", [("rel2_terms", "rel2"), ("rel3_terms", "rel3")])
+def test_relation_coefficients_are_applied_exactly(monkeypatch, name, tag):
+    # an expected term of coefficient -2 in place of -1 must leave a residual
+    P, honest = AlgebraParams(1, 1, 1, 1), getattr(algebra, name)
+    doubled = set()
+
+    def planted(params, i, j, k):
+        terms = honest(params, i, j, k)
+        if any(coeff == -1 for coeff, _ in terms):
+            doubled.add((i, j, k))
+        return [(2 * coeff if coeff == -1 else coeff, t) for coeff, t in terms]
+
+    monkeypatch.setattr(algebra, name, planted)
+    report = verify_defining_relations(P)
+    assert doubled
+    assert {(f.relation, f.indices) for f in report.failures} == {(tag, idx) for idx in doubled}
+    assert not verify_representation(P, 2).passed

@@ -17,6 +17,7 @@ from zzsl import (
     FockState,
     FTildeVariant,
     GeneratorId,
+    Grade,
     RadicalSum,
     closed_form_dimension,
     dimension,
@@ -1108,6 +1109,21 @@ def test_a_two_term_entry_declines_the_check(monkeypatch, two_terms):
     assert rep.suite("relations-orthonormal").to_json() == forced.to_json()
 
 
+def test_the_check_compares_grades_and_nonzero_keys():
+    # each half of the grade/key test must fail the check on its own
+    P, p = AlgebraParams(1, 1, 1, 1), 2
+    basis, (plus, minus), unnorm = _both_kinds(P, p)
+    entries = {(row, col): c for row, col, c in plus[0].items()}
+    assert fock._orthonormal_is_conjugate(basis, (plus, minus), unnorm)
+    del entries[min(entries)]  # keys differ, grades agree
+    dropped = fock.SparseOperator(basis, entries, plus[0].grade)
+    regraded = fock.SparseOperator(basis, plus[0]._entries, Grade(1, 1))  # keys agree
+    assert plus[0].grade == Grade(0, 0) and regraded._entries.keys() == plus[0]._entries.keys()
+    for changed in (dropped, regraded):
+        ortho = ((changed, *plus[1:]), minus)
+        assert not fock._orthonormal_is_conjugate(basis, ortho, unnorm)
+
+
 def test_each_kind_is_built_once_per_verification(monkeypatch):
     P, p = AlgebraParams(1, 1, 1, 1), 3
     honest, built = fock.operator_matrix, []
@@ -1245,3 +1261,39 @@ def test_an_orthonormal_only_fault_reroutes_only_the_families_it_touches(monkeyp
             assert report.passed != touches, family
     finally:
         ladder_operators.cache_clear()
+
+
+# graded_bracket calls of each passing operation at (2,2,2,2) p=2
+_FOCK_BRACKET_COUNTS = {
+    "verify_representation": 1216,
+    "A-stat": 176,
+    "A1-f": 28,
+    "A1-ft": 28,
+    "MixA1": 88,
+    "MixA2": 56,
+}
+
+
+def test_each_sweep_forms_each_inner_bracket_once(monkeypatch):
+    P, p = AlgebraParams(2, 2, 2, 2), 2
+    honest, calls = algebra.graded_bracket, [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return honest(x, y)
+
+    for module in (algebra, statistics):
+        monkeypatch.setattr(module, "graded_bracket", counted)
+    counts, expected = {}, {}
+    for name in _FOCK_BRACKET_COUNTS:
+        calls[0] = 0
+        if name == "verify_representation":
+            assert verify_representation(P, p).passed
+            indices = sweep_indices(P)
+        else:
+            assert relation_suite(name, P, p).passed
+            indices = statistics._family_indices(name, P)
+        counts[name] = calls[0]
+        # two brackets per pair or triple, and one [a_i^+, a_j^-] per (i, j) of a triple
+        expected[name] = 2 * len(indices) + len({idx[:2] for idx in indices if len(idx) == 3})
+    assert counts == expected == _FOCK_BRACKET_COUNTS

@@ -4,8 +4,11 @@ import hashlib
 import itertools
 import json
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from zzsl import grading
 from zzsl import (
@@ -16,8 +19,10 @@ from zzsl import (
     RadicalSum,
     axiom_report,
     graded_bracket,
+    ladder_operators,
     matrix_unit,
 )
+from zzsl.fock import BASIS_KINDS
 
 from graded import homogeneous_grade
 
@@ -336,6 +341,42 @@ def test_axiom_report_planted_faults_match_pinned_digests(monkeypatch, fault, bl
     assert hashlib.sha256(text.encode()).hexdigest() == _PLANTED_AXIOM_DIGESTS[fault, blocks]
 
 
+def test_a_second_component_after_the_right_grade_fails_the_grading_check(monkeypatch):
+    P = AlgebraParams(1, 1, 1, 1)
+    honest = grading.graded_bracket
+    e01, e10, stray = matrix_unit(0, 1, P), matrix_unit(1, 0, P), matrix_unit(0, 3, P)
+
+    def planted(x, y):
+        out = honest(x, y)
+        return out + stray if (x, y) == (e01, e10) else out
+
+    monkeypatch.setattr(grading, "graded_bracket", planted)
+    # [e_01, e_10] gains a (1,0) component after its correct (0,0) one
+    grades = [g for g, _ in planted(e01, e10)._components()]
+    assert grades == [Grade(0, 0), Grade(1, 0)]
+    report = axiom_report(P)
+    assert ("grading", (0, 1, 1, 0)) in {(f.identity, f.indices) for f in report.failures}
+
+
+# graded_bracket calls of one axiom sweep: the units' brackets, then each
+# unit's with each of those on both sides, every distinct pair once
+_AXIOM_BRACKET_COUNTS = {(1, 1, 1, 1): 2375, (4, 0, 0, 0): 2675, (2, 1, 2, 1): 9555}
+
+
+def test_the_axiom_sweep_brackets_each_distinct_pair_once(monkeypatch):
+    honest, calls = grading.graded_bracket, [0]
+
+    def counted(x, y):
+        calls[0] += 1
+        return honest(x, y)
+
+    monkeypatch.setattr(grading, "graded_bracket", counted)
+    for blocks, count in _AXIOM_BRACKET_COUNTS.items():
+        calls[0] = 0
+        assert axiom_report(AlgebraParams(*blocks)).passed
+        assert calls[0] == count, blocks
+
+
 def test_axiom_sweep_size_guard(monkeypatch):
     def refuse(*args):
         raise AssertionError("the axiom sweep was started")
@@ -368,3 +409,74 @@ def test_matrix_algebra_basics():
     assert a - a == GradedMatrix.zero(P)
     with pytest.raises(ValueError):
         GradedMatrix(P, {(0, 5): RadicalSum(1)})
+
+
+# ------------------------------------------------ the one-accumulation bracket
+
+
+def _two_product_bracket(x, y):
+    """The graded bracket as separate products combined by @, + and -."""
+    total = None
+    for a, xa in x._components():
+        for b, yb in y._components():
+            term = xa @ yb + yb @ xa if a.dot(b) else xa @ yb - yb @ xa
+            total = term if total is None else total + term
+    return x._like({}) if total is None else total
+
+
+def _assert_bracket_matches_products(x, y):
+    got, expected = graded_bracket(x, y), _two_product_bracket(x, y)
+    assert type(got) is type(expected)
+    assert got._entries == expected._entries
+    assert got.grade == expected.grade
+
+
+_BLOCKS = ((1, 1, 1, 1), (1, 0, 1, 1), (2, 0, 0, 1))
+_SCALARS = st.sampled_from(
+    [1, -1, 3, Fraction(1, 2), RadicalSum.sqrt(2), RadicalSum.sqrt(3) * -2, RadicalSum.sqrt(2) + 1]
+)
+
+
+@st.composite
+def _matrix_pairs(draw):
+    """Two GradedMatrix elements, each with entries of up to four grades."""
+    P = AlgebraParams(*draw(st.sampled_from(_BLOCKS)))
+    cells = st.tuples(st.integers(0, P.size - 1), st.integers(0, P.size - 1))
+    return tuple(GradedMatrix(P, draw(st.dictionaries(cells, _SCALARS, max_size=9))) for _ in "xy")
+
+
+@st.composite
+def _operator_pairs(draw):
+    """Two ladder operators of either kind, each possibly summed with a
+    third or scaled to zero, which keeps its declared grade."""
+    P, p = AlgebraParams(*draw(st.sampled_from(_BLOCKS))), draw(st.integers(1, 3))
+    ops = [op for kind in BASIS_KINDS for op in itertools.chain(*ladder_operators(P, p, kind))]
+    pick = st.sampled_from(ops)
+    pair = []
+    for _ in "xy":
+        op = draw(pick)
+        pair.append(draw(st.sampled_from([op, op + draw(pick), op * 0])))
+    return tuple(pair)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_matrix_pairs(), _operator_pairs()))
+def test_the_bracket_equals_its_two_product_reference(pair):
+    _assert_bracket_matches_products(*pair)
+
+
+def test_zero_brackets_match_the_two_product_reference():
+    P, p = AlgebraParams(1, 1, 1, 1), 2
+    plus, minus = ladder_operators(P, p, "orthonormal")
+    unit = matrix_unit(0, 3, P)
+    cases = [
+        (GradedMatrix.zero(P), unit),  # no components: x._like({}), grade None
+        (unit, GradedMatrix.zero(P)),
+        (plus[0] * 0, minus[0]),  # declared, but no components
+        (plus[0], plus[1]),  # declared and cancelling: the grade stays
+    ]
+    for x, y in cases:
+        _assert_bracket_matches_products(x, y)
+        assert graded_bracket(x, y).is_zero
+    assert graded_bracket(plus[0] * 0, minus[0]).grade is None
+    assert graded_bracket(plus[0], plus[1]).grade == Grade(0, 0) + Grade(1, 1)
