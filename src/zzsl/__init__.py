@@ -9,12 +9,9 @@ exclusion bound) with exact radical arithmetic.
 
 from .algebra import (
     GeneratorId,
-    generator_closure_rank,
     generator_ids,
     generator_matrix,
     matrix_unit,
-    sl_basis,
-    sl_basis_rank,
     verify_defining_relations,
 )
 from .fock import (
@@ -30,7 +27,6 @@ from .fock import (
     ft_variant_discrimination,
     ft_variants,
     ladder_operators,
-    norm_factor,
     operator_matrix,
     order_one_defining_comparison,
     single_quantum_state,
@@ -45,7 +41,7 @@ from .grading import (
     axiom_report,
     graded_bracket,
 )
-from .linalg import RationalRowSpace, rational_rank
+from .linalg import RationalRowSpace
 from .radicals import RadicalSum, normalize_radical
 from .statistics import (
     FAMILIES,
@@ -83,7 +79,6 @@ __all__ = [
     "enumerate_basis",
     "ft_variant_discrimination",
     "ft_variants",
-    "generator_closure_rank",
     "generator_ids",
     "generator_matrix",
     "graded_bracket",
@@ -91,16 +86,12 @@ __all__ = [
     "ladder_operators",
     "ladder_residual",
     "matrix_unit",
-    "norm_factor",
     "normalize_radical",
     "occupancy_report",
     "operator_matrix",
     "order_one_defining_comparison",
-    "rational_rank",
     "relation_suite",
     "single_quantum_state",
-    "sl_basis",
-    "sl_basis_rank",
     "spanning_rank",
     "spectrum",
     "verify_defining_relations",

@@ -9,11 +9,9 @@ the verifier can double as an oracle for formula variants.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Sequence
 
 from .grading import GRADES, AlgebraParams, Grade, GradedMatrix, graded_bracket
-from .linalg import RationalRowSpace, rational_rank
 from .reports import RelationFailure, RelationReport
 
 __all__ = [
@@ -29,8 +27,6 @@ __all__ = [
     "relation_failures",
     "relation_report",
     "verify_defining_relations",
-    "sl_basis",
-    "generator_closure_rank",
 ]
 
 # in the order of grading.GRADES
@@ -208,58 +204,3 @@ def verify_defining_relations(params: AlgebraParams) -> RelationReport:
         for sign in "+-"
     )
     return relation_report(params, "defining-relations", plus, minus, sweep_indices(params))
-
-
-def sl_basis(params: AlgebraParams) -> list[GradedMatrix]:
-    """Basis of the supertraceless subalgebra: off-diagonal units plus
-    e(0,0) - (-1)**(d_i.d_i) e(i,i) for i = 1..m+n.  Size is N**2 - 1.
-    """
-    mats: list[GradedMatrix] = []
-    for i in params.indices():
-        for j in params.indices():
-            if i != j:
-                mats.append(matrix_unit(i, j, params))
-    e00 = matrix_unit(0, 0, params)
-    for i in params.operator_indices():
-        d = params.index_grade(i)
-        coeff = 1 if d.dot(d) == 0 else -1
-        mats.append(e00 - matrix_unit(i, i, params) * coeff)
-    return mats
-
-
-def _flatten(matrix: GradedMatrix) -> dict[int, Fraction]:
-    n = matrix.params.size
-    return {i * n + j: c.as_fraction() for i, j, c in matrix.items()}
-
-
-def sl_basis_rank(params: AlgebraParams) -> int:
-    """Exact rank of the flattened sl basis over the rationals."""
-    width = params.size ** 2
-    return rational_rank((_flatten(m) for m in sl_basis(params)), width)
-
-
-def generator_closure_rank(params: AlgebraParams) -> tuple[int, int]:
-    """(rank of the bracket closure of the generators, rank of the sl basis).
-
-    The closure is computed by repeatedly bracketing new elements against
-    everything found so far until the exact rank stops growing.
-    """
-    width = params.size ** 2
-    space = RationalRowSpace(width)
-    pool: list[GradedMatrix] = []
-    for gid in generator_ids(params):
-        m = generator_matrix(gid, params)
-        if space.add(_flatten(m)):
-            pool.append(m)
-    frontier = list(pool)
-    while frontier:
-        fresh: list[GradedMatrix] = []
-        for a in frontier:
-            for b in list(pool):
-                for x, y in ((a, b), (b, a)):
-                    c = graded_bracket(x, y)
-                    if not c.is_zero and space.add(_flatten(c)):
-                        fresh.append(c)
-                        pool.append(c)
-        frontier = fresh
-    return space.rank, sl_basis_rank(params)

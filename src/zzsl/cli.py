@@ -1,6 +1,7 @@
 """Command-line surface: verification sweeps, dimension tables, data export.
 
-Exit codes: 0 success, 1 verification failure, 2 malformed arguments.
+Exit codes: 0 success, 1 verification failure, 2 malformed or out-of-range
+arguments, an unwritable output or a run out of memory.
 All diagnostics go to stderr; reports go to stdout or --output."""
 
 from __future__ import annotations
@@ -9,6 +10,7 @@ import argparse
 import json
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii
 
 from .algebra import generator_ids, verify_defining_relations
 from .fock import (
@@ -65,7 +67,37 @@ def _emit(text: str, output: str | None) -> None:
 
 
 def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    """``json.dumps(payload, indent=2)`` plus a newline, byte for byte.
+
+    With ``indent`` set, ``json.dumps`` leaves its C encoder for a
+    pure-Python generator; this renders each container with one join, the
+    str and int leaves with C calls, and only other scalars with
+    ``json.dumps``.
+    """
+    return _render(payload, "\n") + "\n"
+
+
+_LEAVES = {str: encode_basestring_ascii, int: int.__repr__}
+
+
+def _render(value, newline: str) -> str:
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        inner = newline + "  "
+        parts = [
+            encode_basestring_ascii(k if isinstance(k, str) else json.dumps(k)) + ": "
+            + (leaf(v) if (leaf := _LEAVES.get(type(v))) else _render(v, inner))
+            for k, v in value.items()
+        ]
+        return "{" + inner + ("," + inner).join(parts) + newline + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        inner = newline + "  "
+        parts = [leaf(v) if (leaf := _LEAVES.get(type(v))) else _render(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(parts) + newline + "]"
+    return json.dumps(value)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -301,6 +333,9 @@ def parse_and_run(argv: list[str]) -> int:
         return ns.func(ns)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        print(f"error: out of memory running {ns.command}", file=sys.stderr)
         return 2
 
 

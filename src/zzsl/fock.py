@@ -27,7 +27,7 @@ from .algebra import (
 )
 from .grading import AlgebraParams, Grade
 from .linalg import RationalRowSpace, SparseMatrix
-from .radicals import RadicalSum
+from .radicals import RadicalSum, exact
 from .reports import (
     DiscriminationReport,
     RelationFailure,
@@ -48,7 +48,6 @@ __all__ = [
     "enumerate_basis",
     "dimension",
     "closed_form_dimension",
-    "norm_factor",
     "single_quantum_state",
     "operator_matrix",
     "ladder_operators",
@@ -313,19 +312,11 @@ def _check_order_range(params: AlgebraParams, lo: int, hi: int) -> None:
 
 
 def _norm_square(state: FockState, p: int) -> Fraction:
-    """The square of ``norm_factor``: (p-R)! / (p! * prod of the bosonic
-    occupations' factorials), for an admissible state."""
+    """The square of the norm factor, the scalar relating an admissible
+    state's unnormalized monomial vector to its unit vector: (p-R)! / (p! *
+    prod of the bosonic occupations' factorials)."""
     denom = factorial(p) * prod(factorial(occ) for occ in state.r + state.l)
     return Fraction(factorial(p - state.total), denom)
-
-
-def norm_factor(state: FockState, p: int) -> RadicalSum:
-    """Scalar relating the unnormalized monomial vector to the unit vector."""
-    _check_positive(p)
-    R = state.total
-    if R > p:
-        raise ValueError(f"state with total {R} is inadmissible at order {p}")
-    return RadicalSum.sqrt_fraction(_norm_square(state, p))
 
 
 def single_quantum_state(params: AlgebraParams, index: int) -> FockState:
@@ -358,11 +349,11 @@ def _ladder_rule(
     p-R; lowering has weight occ and room p-R+1.  The term is dropped when
     the weight or the room is 0, or when the target breaks the Pauli bounds
     (odd occupations at most 1, total at most p).  The orthonormal
-    coefficient is sign*sqrt(weight*room); the unnormalized one, the integer
-    conjugate, is sign when raising and sign*weight*room when lowering.  The
-    sign, on the odd orbitals only, is (-1)**(sum l) times (-1)**(own-family
-    prefix before the orbital): the quanta the operator passes in the fixed
-    monomial order.
+    coefficient is sign*sqrt(weight*room), built once per distinct value by
+    each returned ``act``; the unnormalized one, the integer conjugate, is
+    sign when raising and sign*weight*room when lowering.  The sign, on the
+    odd orbitals only, is (-1)**(sum l) times (-1)**(own-family prefix before
+    the orbital): the quanta the operator passes in the fixed monomial order.
     """
     _check_kind(basis_kind)
     if basis_kind == "unnormalized" and ft_variant != FT_CORRECTED:
@@ -382,6 +373,7 @@ def _ladder_rule(
     # orbitals before the read slot
     own = m if fam == "f" else m + n1
     orthonormal = basis_kind == "orthonormal"
+    roots: dict[int, int | RadicalSum] = {}  # sign*weight*room -> orthonormal entry
 
     def act(occ: tuple[int, ...], R: int):
         occ_read = occ[read]
@@ -394,7 +386,10 @@ def _ladder_rule(
             return None
         sign = -1 if odd and (sum(occ[m1:m]) + sum(occ[own:read])) % 2 else 1
         if orthonormal:
-            coeff = RadicalSum.sqrt(weight * room) * sign
+            key = sign * weight * room
+            coeff = roots.get(key)
+            if coeff is None:
+                coeff = roots[key] = exact(RadicalSum.sqrt(weight * room) * sign)
         else:
             coeff = sign if raising else sign * weight * room
         return coeff, occ[:write] + (new,) + occ[write + 1 :]
@@ -591,8 +586,8 @@ def _orthonormal_is_conjugate(basis: FockBasis, ortho, unnorm) -> bool:
     ``ortho`` and ``unnorm`` are (raising, lowering) pairs on ``basis`` as
     ``ladder_operators`` gives them, with None where an operator was not
     built.  Partners must declare the same grade and have the same nonzero
-    keys, and ``O[i,j] * n_i == U[i,j] * n_j`` must hold with
-    ``n = norm_factor``.  Since every n_i > 0, that holds exactly when the
+    keys, and ``O[i,j] * n_i == U[i,j] * n_j`` must hold with n the
+    norm factors.  Since every n_i > 0, that holds exactly when the
     two entries have the same sign and ``O**2 * a_i == U**2 * a_j``, with
     ``a = n**2`` the rational ``_norm_square``.  So no radical is multiplied.
     This is decided only for an ``int`` or one-term ``c*sqrt(s)`` entry O

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .radicals import RadicalSum, exact
 
@@ -264,10 +264,3 @@ class RationalRowSpace:
         self._rows.append({col: c * inv for col, c in v.items()})
         self._pivots.append(pivot)
         return True
-
-
-def rational_rank(vectors: Iterable[Mapping], width: int) -> int:
-    space = RationalRowSpace(width)
-    for v in vectors:
-        space.add(v)
-    return space.rank

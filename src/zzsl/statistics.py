@@ -185,14 +185,14 @@ def _build_hamiltonian(
     plus, minus = ladder_operators(params, p, "orthonormal")
     total = SparseOperator.zero(basis, Grade(0, 0))
     m = params.m
-    for pos, eps in enumerate(epsilons):
+    for eps, up, down, odd_up, odd_down in zip(
+        epsilons, plus[:m], minus[:m], plus[m:], minus[m:]
+    ):
         if reading == "graded":
-            term = graded_bracket(plus[pos], minus[pos]) + graded_bracket(
-                plus[pos + m], minus[pos + m]
-            )
+            term = graded_bracket(up, down) + graded_bracket(odd_up, odd_down)
         else:
             # [a+, a-] + {a+, a-} = 2 a+ a-
-            term = (plus[pos] @ minus[pos]) * 2
+            term = (up @ down) * 2
         total = total + term * eps
     return total
 
@@ -220,7 +220,7 @@ def ladder_residual(
     ham = hamiltonian(params, p, energies, reading)
     plus, minus = ladder_operators(params, p, "orthonormal")
     op = plus[index - 1] if sign == "+" else minus[index - 1]
-    eps = energies.epsilons[index - 1 if index <= m else index - m - 1]
+    eps = energies.epsilons[(index - 1) % m]
     scale = eps if sign == "+" else -eps
     return ham.commutator(op) - op * scale
 

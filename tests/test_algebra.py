@@ -7,13 +7,11 @@ from zzsl import (
     GeneratorId,
     Grade,
     GradedMatrix,
-    generator_closure_rank,
+    RationalRowSpace,
     generator_ids,
     generator_matrix,
     graded_bracket,
     matrix_unit,
-    sl_basis,
-    sl_basis_rank,
     verify_defining_relations,
     verify_representation,
 )
@@ -107,6 +105,59 @@ def test_single_fermion_self_bracket_vanishes():
     P = AlgebraParams(0, 0, 1, 0)
     up = generator_matrix(GeneratorId(1, "+"), P)
     assert graded_bracket(up, up).is_zero
+
+
+def sl_basis(params):
+    """Basis of the supertraceless subalgebra: off-diagonal units plus
+    e(0,0) - (-1)**(d_i.d_i) e(i,i) for i = 1..m+n.  Size is N**2 - 1.
+    """
+    mats = [
+        matrix_unit(i, j, params) for i in params.indices() for j in params.indices() if i != j
+    ]
+    e00 = matrix_unit(0, 0, params)
+    for i in params.operator_indices():
+        d = params.index_grade(i)
+        mats.append(e00 - matrix_unit(i, i, params) * (1 if d.dot(d) == 0 else -1))
+    return mats
+
+
+def _flatten(matrix):
+    n = matrix.params.size
+    return {i * n + j: c.as_fraction() for i, j, c in matrix.items()}
+
+
+def sl_basis_rank(params):
+    """Exact rank of the flattened sl basis over the rationals."""
+    space = RationalRowSpace(params.size**2)
+    for m in sl_basis(params):
+        space.add(_flatten(m))
+    return space.rank
+
+
+def generator_closure_rank(params):
+    """(rank of the bracket closure of the generators, rank of the sl basis).
+
+    The closure is computed by repeatedly bracketing new elements against
+    everything found so far until the exact rank stops growing.
+    """
+    space = RationalRowSpace(params.size**2)
+    pool = []
+    for gid in generator_ids(params):
+        m = generator_matrix(gid, params)
+        if space.add(_flatten(m)):
+            pool.append(m)
+    frontier = list(pool)
+    while frontier:
+        fresh = []
+        for a in frontier:
+            for b in list(pool):
+                for x, y in ((a, b), (b, a)):
+                    c = graded_bracket(x, y)
+                    if not c.is_zero and space.add(_flatten(c)):
+                        fresh.append(c)
+                        pool.append(c)
+        frontier = fresh
+    return space.rank, sl_basis_rank(params)
 
 
 def test_sl_basis():

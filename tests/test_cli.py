@@ -1,6 +1,7 @@
 """Command-line surface: exit codes, report content, determinism."""
 
 import contextlib
+import hashlib
 import io
 import json
 import sys
@@ -10,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from zzsl import fock, statistics
-from zzsl.cli import parse_and_run
+from zzsl import cli, fock, statistics
+from zzsl.cli import _json_text, parse_and_run
 
 
 def run(argv, capsys):
@@ -176,6 +177,81 @@ def test_export_unnormalized_kind(tmp_path, capsys):
     }
     # integer coefficients only
     assert all(len(c) == 1 and c[0]["radicand"] == "1" for c in coeffs.values())
+
+
+# sha256 of stdout, recorded when CLI JSON was still rendered by
+# ``json.dumps(payload, indent=2)``: export bytes for both basis kinds and
+# the JSON reports of the other four commands.
+_OUTPUT_DIGESTS = [
+    ("export --params 1,0,1,0 --p 2 --basis orthonormal",
+     "fdcc1ccfa5acfdd20c1cff9d7051e6a61d9627687c4bc09e669785d37ae647ef"),
+    ("export --params 1,0,1,0 --p 2 --basis unnormalized",
+     "96ec7dceed423750704bc9d114f3e9ebae8e52730e2513f950b3a241d059f97e"),
+    ("export --params 1,1,1,1 --p 3 --basis orthonormal",
+     "629dba572f1efa365867f484c2429c0906c8fd9fec77c4ee0d9f2c45d368d05e"),
+    ("export --params 1,1,1,1 --p 3 --basis unnormalized",
+     "c838ba4fabf0a17e8b02cc6fd6a7958e06ac19c8dc793e05abf5f4171ba34f28"),
+    ("export --params 2,2,2,2 --p 2 --basis orthonormal",
+     "0077218b8da9b1f94a4e35f6c220fe45f57b97c07759c39c9d7cfa8cc15d26f4"),
+    ("export --params 2,2,2,2 --p 2 --basis unnormalized",
+     "9a6861ba156d611a29745827a1a516c876e49550ba117156df73322dcd7eff29"),
+    ("verify --params 1,0,1,1 --p 1..2 --format json",
+     "7c94ec2bc53dcf1accfe3cd9b4ed24b300ba6a273e0593fff11fc5d15b0b2721"),
+    ("dim --params 2,1,2,1 --p 1..4 --format json",
+     "d2afede2ea4bf840493402de3b411c76beb4a371617c058d5e2244eeca4c900e"),
+    ("spectrum --params 1,1,1,1 --p 3 --eps 1,3/2 --format json",
+     "9ac9e08ed85dde7c5f94fff9df1167b9113f5585bc586d3509a26b597f745fc9"),
+    ("spectrum --params 1,1,1,1 --p 3 --eps 1,3/2 --reading literal --format json",
+     "76b75d9984a79d82f33f72340b817471392d3b982db40cb0db96019074edf824"),
+    ("occupancy --params 2,1,2,1 --p 3 --format json",
+     "93e25ff9287a3e527e6a92935047b40554a25d1a12e62822c2d7c4f2b32d7d01"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, digest", _OUTPUT_DIGESTS, ids=[argv for argv, _ in _OUTPUT_DIGESTS]
+)
+def test_output_bytes_are_pinned(capsys, argv, digest):
+    code, out, _ = run(argv.split(), capsys)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+_json_scalars = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(min_value=-(2**100), max_value=2**100),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(),
+    st.sampled_from(["", "\"\\/\b\f\n\r\t\x00\x1f\x7f", "é→ünï", "\u2028\U0001f600"]),
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.dictionaries(st.one_of(st.text(max_size=5), st.integers()), inner, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_json_values)
+def test_json_text_is_json_dumps_with_indent_two(value):
+    assert _json_text(value) == json.dumps(value, indent=2) + "\n"
+
+
+def test_out_of_memory_is_a_clean_error(monkeypatch, capsys):
+    def exhaust(params, p):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "verify_representation", exhaust)
+    code, out, err = run(["verify", "--params", "1,0,1,0", "--p", "1"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and len(err.splitlines()) == 1
+    assert "Traceback" not in err
 
 
 def test_malformed_arguments(capsys):

@@ -27,7 +27,6 @@ from zzsl import (
     generator_ids,
     graded_bracket,
     ladder_operators,
-    norm_factor,
     operator_matrix,
     order_one_defining_comparison,
     relation_suite,
@@ -147,6 +146,17 @@ def test_basis_json_uses_lambda_key():
 
 
 # ------------------------------------------------------------- norm factors
+
+
+def norm_factor(state, p):
+    """Scalar relating the unnormalized monomial vector of an admissible
+    state to its unit vector: sqrt((p-R)! / (p! * prod of the bosonic
+    occupations' factorials))."""
+    fock._check_positive(p)
+    if state.total > p:
+        raise ValueError(f"state with total {state.total} is inadmissible at order {p}")
+    denom = factorial(p) * prod(factorial(occ) for occ in state.r + state.l)
+    return RadicalSum.sqrt_fraction(Fraction(factorial(p - state.total), denom))
 
 
 def test_norm_factor_examples():

@@ -20,10 +20,16 @@ from zzsl import (
     graded_bracket,
     ladder_operators,
     matrix_unit,
-    rational_rank,
 )
 
 from graded import homogeneous_grade
+
+
+def rational_rank(vectors, width: int) -> int:
+    space = RationalRowSpace(width)
+    for v in vectors:
+        space.add(v)
+    return space.rank
 
 
 def _contains(space, vector) -> bool:
