@@ -66,9 +66,6 @@ class GeneratorId:
         self.check(params)
         return params.index_grade(self.index)
 
-    def conjugate(self) -> "GeneratorId":
-        return GeneratorId(self.index, "-" if self.sign == "+" else "+")
-
     def label(self, params: AlgebraParams) -> str:
         return f"{self.family(params)}{self.family_position(params) + 1}{self.sign}"
 

@@ -172,20 +172,22 @@ class FockState:
 
 
 class FockBasis:
-    """All admissible states of an order-p module, in graded lexicographic order."""
+    """All admissible states of an order-p module, in graded lexicographic
+    order, stored once as flat occupation tuples in ``occupations``; a
+    ``FockState`` is built only where one is handed out or taken in."""
 
-    __slots__ = ("params", "p", "states", "_index")
+    __slots__ = ("params", "p", "occupations", "_index")
 
-    def __init__(self, params: AlgebraParams, p: int, states: tuple[FockState, ...]):
+    def __init__(self, params: AlgebraParams, p: int, occupations: tuple[tuple[int, ...], ...]):
         self.params = params
         self.p = p
-        self.states = states
-        # keyed by occupation tuple, in basis order
-        self._index = {s.occupations(): pos for pos, s in enumerate(states)}
+        self.occupations = occupations
+        self._index = {occ: pos for pos, occ in enumerate(occupations)}
 
     def index_of(self, state: FockState) -> int:
         pos = self._index.get(state.occupations())
-        if pos is None or self.states[pos] != state:
+        # a state split into other blocks has the same tuple but is not here
+        if pos is None or FockState.from_occupations(self.params, state.occupations()) != state:
             raise ValueError(f"state {state} is not in the order-{self.p} basis")
         return pos
 
@@ -200,43 +202,35 @@ class FockBasis:
         return hash((self.params, self.p))
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.occupations)
 
     size = property(__len__)
 
     def index_grade(self, i: int) -> Grade:
         """Degree of the i-th basis state, which grades operators entry by entry."""
-        if type(i) is not int or not 0 <= i < len(self.states):  # nor a bool
-            raise ValueError(f"basis index {i!r} is not an int in 0..{len(self.states) - 1}")
-        return self.states[i].degree(self.params)
+        if type(i) is not int or not 0 <= i < len(self):  # nor a bool
+            raise ValueError(f"basis index {i!r} is not an int in 0..{len(self) - 1}")
+        return FockState.from_occupations(self.params, self.occupations[i]).degree(self.params)
 
     def __iter__(self):
-        return iter(self.states)
-
-    @property
-    def vacuum(self) -> FockState:
-        return self.states[0]
+        return (FockState.from_occupations(self.params, occ) for occ in self.occupations)
 
     def to_json(self) -> list[dict]:
-        return [{"index": pos, **s.to_json()} for pos, s in enumerate(self.states)]
+        return [{"index": pos, **state.to_json()} for pos, state in enumerate(self)]
 
     def __repr__(self) -> str:
         return f"FockBasis(params={self.params}, p={self.p}, dim={len(self)})"
 
 
-def _counts(length: int, cap: int):
-    if length == 0:
-        yield ()
-        return
-    for first in range(cap + 1):
-        for rest in _counts(length - 1, cap - first):
-            yield (first,) + rest
-
-
-def _bits(length: int, cap: int):
-    for combo in itertools.product((0, 1), repeat=length):
-        if sum(combo) <= cap:
-            yield combo
+def _admissible_occupations(params: AlgebraParams, p: int) -> tuple[tuple[int, ...], ...]:
+    """Occupation tuples with total <= p and odd orbitals at most 1, built
+    one orbital at a time from the quanta left, sorted by (total, tuple)."""
+    states = [()]
+    for orbital in range(params.m + params.n):
+        cap = 1 if orbital >= params.m else p
+        states = [occ + (k,) for occ in states for k in range(min(cap, p - sum(occ)) + 1)]
+    states.sort(key=lambda occ: (sum(occ), occ))
+    return tuple(states)
 
 
 # typed: a bool order must miss the entry cached for the int 1
@@ -249,17 +243,7 @@ def enumerate_basis(params: AlgebraParams, p: int) -> FockBasis:
     ``MAX_BASIS_DIMENSION`` is rejected before any state is built.
     """
     _check_order_range(params, p, p)
-    states: list[FockState] = []
-    for r in _counts(params.m1, p):
-        left = p - sum(r)
-        for l in _counts(params.m2, left):
-            left2 = left - sum(l)
-            for th in _bits(params.n1, left2):
-                left3 = left2 - sum(th)
-                for la in _bits(params.n2, left3):
-                    states.append(FockState(r, l, th, la))
-    states.sort(key=lambda s: (s.total, s.occupations()))
-    return FockBasis(params, p, tuple(states))
+    return FockBasis(params, p, _admissible_occupations(params, p))
 
 
 def dimension(params: AlgebraParams, p: int) -> int:
@@ -311,12 +295,12 @@ def _check_order_range(params: AlgebraParams, lo: int, hi: int) -> None:
         )
 
 
-def _norm_square(state: FockState, p: int) -> Fraction:
-    """The square of the norm factor, the scalar relating an admissible
-    state's unnormalized monomial vector to its unit vector: (p-R)! / (p! *
-    prod of the bosonic occupations' factorials)."""
-    denom = factorial(p) * prod(factorial(occ) for occ in state.r + state.l)
-    return Fraction(factorial(p - state.total), denom)
+def _norm_square(occ: tuple[int, ...], m: int, p: int) -> Fraction:
+    """The square of the norm factor, the scalar relating the unnormalized
+    monomial vector of the admissible occupation tuple ``occ``, of total R, to
+    its unit vector: (p-R)! / (p! * prod of the m bosonic occupations' factorials)."""
+    denom = factorial(p) * prod(factorial(k) for k in occ[:m])
+    return Fraction(factorial(p - sum(occ)), denom)
 
 
 def single_quantum_state(params: AlgebraParams, index: int) -> FockState:
@@ -418,15 +402,11 @@ class SparseOperator(SparseMatrix):
     # ------------------------------------------------------------ inspection
 
     @property
-    def dimension(self) -> int:
-        return len(self._space)
-
-    @property
     def is_diagonal(self) -> bool:
         return all(i == j for (i, j) in self._entries)
 
     def diagonal(self) -> list[RadicalSum]:
-        return [self.entry(i, i) for i in range(self.dimension)]
+        return [self.entry(i, i) for i in range(len(self._space))]
 
     # ------------------------------------------------------------ arithmetic
 
@@ -445,12 +425,12 @@ class SparseOperator(SparseMatrix):
         return {
             "params": list(self._space.params.as_tuple()),
             "p": self._space.p,
-            "shape": [self.dimension, self.dimension],
+            "shape": [len(self._space), len(self._space)],
             "entries": self._entries_json(),
         }
 
     def __repr__(self) -> str:
-        return f"SparseOperator(dim={self.dimension}, nnz={self.nnz}, grade={self.grade})"
+        return f"SparseOperator(dim={len(self._space)}, nnz={self.nnz}, grade={self.grade})"
 
 
 def operator_matrix(
@@ -467,7 +447,7 @@ def operator_matrix(
     act = _ladder_rule(gid, params, p, basis_kind, ft_variant)
     index = basis._index
     entries: dict[tuple[int, int], int | RadicalSum] = {}
-    for col, occ in enumerate(index):
+    for col, occ in enumerate(basis.occupations):
         term = act(occ, sum(occ))
         if term is not None:
             entries[(index[term[1]], col)] = term[0]
@@ -595,7 +575,7 @@ def _orthonormal_is_conjugate(basis: FockBasis, ortho, unnorm) -> bool:
     False and the caller runs the full orthonormal sweep.  So the check may
     decline, but it never wrongly passes.
     """
-    a = [_norm_square(state, basis.p) for state in basis]
+    a = [_norm_square(occ, basis.params.m, basis.p) for occ in basis.occupations]
     # a_i = num[i] / den[i]: the squares compare by integer cross products
     num, den = [q.numerator for q in a], [q.denominator for q in a]
     for o_op, u_op in zip(itertools.chain(*ortho), itertools.chain(*unnorm)):

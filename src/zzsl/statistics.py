@@ -19,7 +19,6 @@ from .fock import (
     FockState,
     SparseOperator,
     _corrected_relation_sweeps,
-    dimension,
     enumerate_basis,
     ladder_operators,
 )
@@ -78,7 +77,7 @@ class EnergyAssignment:
 # I x J x K, in this order.  A pure family lists all its pairs before its
 # triples; a mixed family follows each pair by its triples.
 _FAMILY_BLOCKS = {
-    "A-stat": ("pure", (("b", "b", "b"),)),
+    "A-stat": ("pure", (("even", "even", "even"),)),
     "A1-f": ("pure", (("f", "f", "f"),)),
     "A1-ft": ("pure", (("ft", "ft", "ft"),)),
     "MixA1": ("mixed", (("f", "ft", "odd"), ("ft", "f", "odd"))),
@@ -91,7 +90,7 @@ def _family_indices(family: str, params: AlgebraParams) -> list[tuple[int, ...]]
     """The pairs and triples a family checks, in its check order."""
     m, n1, n = params.m, params.n1, params.n
     ranges = {
-        "b": range(1, m + 1),
+        "even": range(1, m + 1),
         "f": range(m + 1, m + n1 + 1),
         "ft": range(m + n1 + 1, m + n + 1),
         "odd": range(m + 1, m + n + 1),
@@ -246,15 +245,15 @@ def occupancy_report(params: AlgebraParams, p: int) -> OccupancyReport:
     """Per-orbital and global occupation maxima over the order-p basis."""
     basis = enumerate_basis(params, p)
     peak = FockState.from_occupations(
-        params, [max(column) for column in zip(*(state.occupations() for state in basis))]
+        params, [max(column) for column in zip(*basis.occupations)]
     )
     return OccupancyReport(
         params.as_tuple(),
         p,
-        dimension(params, p),
+        len(basis),
         list(peak.r),
         list(peak.l),
         list(peak.theta),
         list(peak.lam),
-        max(state.total for state in basis),
+        max(map(sum, basis.occupations)),
     )

@@ -49,7 +49,6 @@ def test_generator_families_and_labels():
     assert [g.family(P) for g in gids] == ["b", "bt", "f", "ft"]
     assert [g.label(P) for g in gids] == ["b1+", "bt1+", "f1+", "ft1+"]
     assert GeneratorId(3, "+").grade(P) == Grade(1, 0)
-    assert GeneratorId(2, "+").conjugate() == GeneratorId(2, "-")
     assert len(generator_ids(P)) == 8
 
 

@@ -287,8 +287,7 @@ def test_oversized_module_is_rejected_before_enumeration(monkeypatch, capsys):
     def refuse(*args):
         raise AssertionError("the basis was enumerated")
 
-    monkeypatch.setattr(fock, "_counts", refuse)
-    monkeypatch.setattr(fock, "_bits", refuse)
+    monkeypatch.setattr(fock, "_admissible_occupations", refuse)
     fock.enumerate_basis.cache_clear()
     params = fock.AlgebraParams(40, 40, 40, 40)
     expected = fock.closed_form_dimension(params, 30)
@@ -300,6 +299,18 @@ def test_oversized_module_is_rejected_before_enumeration(monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+def test_refusal_hook_fires_on_an_admissible_module(monkeypatch):
+    # the patch the refusal tests install sits on the enumeration path, so
+    # they cannot pass because enumeration went around it
+    def refuse(*args):
+        raise AssertionError("the basis was enumerated")
+
+    monkeypatch.setattr(fock, "_admissible_occupations", refuse)
+    fock.enumerate_basis.cache_clear()
+    with pytest.raises(AssertionError, match="the basis was enumerated"):
+        fock.enumerate_basis(fock.AlgebraParams(1, 0, 1, 0), 2)
+
+
 @pytest.mark.parametrize("command", ["dim", "verify"])
 def test_order_range_is_checked_at_its_top_first(monkeypatch, capsys, command):
     from zzsl import grading
@@ -307,8 +318,7 @@ def test_order_range_is_checked_at_its_top_first(monkeypatch, capsys, command):
     def refuse(*args):
         raise AssertionError("work started before the range was checked")
 
-    monkeypatch.setattr(fock, "_counts", refuse)
-    monkeypatch.setattr(fock, "_bits", refuse)
+    monkeypatch.setattr(fock, "_admissible_occupations", refuse)
     monkeypatch.setattr(grading, "_BracketTable", refuse)
     fock.enumerate_basis.cache_clear()
     expected = fock.closed_form_dimension(fock.AlgebraParams(1, 1, 1, 1), 2000)
@@ -334,8 +344,7 @@ def test_order_range_is_checked_by_its_summed_dimension(monkeypatch, capsys, arg
     def refuse(*args):
         raise AssertionError("work started before the range was checked")
 
-    monkeypatch.setattr(fock, "_counts", refuse)
-    monkeypatch.setattr(fock, "_bits", refuse)
+    monkeypatch.setattr(fock, "_admissible_occupations", refuse)
     monkeypatch.setattr(grading, "_BracketTable", refuse)
     fock.enumerate_basis.cache_clear()
     start = time.perf_counter()

@@ -61,7 +61,7 @@ def test_basis_small_example():
     P = AlgebraParams(1, 0, 1, 0)
     basis = enumerate_basis(P, 1)
     assert len(basis) == 3
-    assert basis.vacuum == FockState.vacuum(P)
+    assert basis.index_of(FockState.vacuum(P)) == 0
     assert set(basis) == {
         FockState((0,), (), (0,), ()),
         FockState((1,), (), (0,), ()),
@@ -115,6 +115,40 @@ def test_basis_size_guard_and_bounded_cache():
     with pytest.raises(ValueError, match=str(closed_form_dimension(params, 30))):
         enumerate_basis(params, 30)
     assert enumerate_basis.cache_info().maxsize == 256
+
+
+@st.composite
+def _small_modules(draw):
+    """A composition with m+n <= 7 and an order p <= 6."""
+    blocks = []
+    for _ in range(4):
+        blocks.append(draw(st.integers(0, 7 - sum(blocks))))
+    return AlgebraParams(*blocks), draw(st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_small_modules())
+def test_basis_is_the_brute_force_occupation_set(module):
+    P, p = module
+    ranges = [range(p + 1)] * P.m + [range(2)] * P.n
+    admissible = [occ for occ in itertools.product(*ranges) if sum(occ) <= p]
+    basis = enumerate_basis(P, p)
+    assert list(basis.occupations) == sorted(admissible, key=lambda occ: (sum(occ), occ))
+    assert len(basis) == closed_form_dimension(P, p)
+
+
+# sha256 over json.dumps([[m1, m2, n1, n2], p, basis.to_json()]) for every
+# composition with m+n <= 4 (in small_sweep order) and p = 1..4
+_BASIS_JSON_DIGEST = "f388a03287c9cbf10b87bb2f74a13d78714a66828b0005f45a48074359814ff3"
+
+
+def test_basis_json_is_pinned():
+    digest = hashlib.sha256()
+    for P in small_sweep(4):
+        for p in range(1, 5):
+            payload = [list(P.as_tuple()), p, enumerate_basis(P, p).to_json()]
+            digest.update(json.dumps(payload).encode())
+    assert digest.hexdigest() == _BASIS_JSON_DIGEST
 
 
 def test_state_validation():
@@ -181,7 +215,11 @@ def _action(gid, params, state, p, basis_kind="orthonormal"):
     basis = enumerate_basis(params, p)
     col = basis.index_of(state)
     op = operator_matrix(gid, params, p, basis_kind)
-    return [(coeff, basis.states[row]) for row, j, coeff in op.items() if j == col]
+    return [
+        (coeff, FockState.from_occupations(params, basis.occupations[row]))
+        for row, j, coeff in op.items()
+        if j == col
+    ]
 
 
 def test_lowering_kills_vacuum():
@@ -250,7 +288,7 @@ def test_raising_is_strictly_grading_increasing():
     for i in range(1, 5):
         op = operator_matrix(GeneratorId(i, "+"), P, 2)
         for row, col, _ in op.items():
-            assert basis.states[row].total == basis.states[col].total + 1
+            assert sum(basis.occupations[row]) == sum(basis.occupations[col]) + 1
 
 
 def test_transpose_structure():
@@ -598,7 +636,7 @@ def test_an_index_that_is_not_an_int_is_rejected(taker, bad):
 
 def test_a_basis_index_out_of_range_is_rejected():
     basis = enumerate_basis(AlgebraParams(1, 1, 1, 1), 2)
-    assert basis.index_grade(len(basis) - 1) == basis.states[-1].degree(basis.params)
+    assert basis.index_grade(len(basis) - 1) == list(basis)[-1].degree(basis.params)
     for bad in (-1, len(basis)):
         with pytest.raises(ValueError):
             basis.index_grade(bad)

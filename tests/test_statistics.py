@@ -86,9 +86,9 @@ def _planted(families, sign, factor, min_total):
         op = honest(gid, params, p, basis_kind, ft_variant)
         if gid.family(params) not in families or (gid.family_position(params), gid.sign) != (0, sign):
             return op
-        states = op.basis.states
+        occupations = op.basis.occupations
         entries = {
-            (row, col): coeff * factor if states[col].total >= min_total else coeff
+            (row, col): coeff * factor if sum(occupations[col]) >= min_total else coeff
             for row, col, coeff in op.items()
         }
         return fock.SparseOperator(op.basis, entries, op.grade)
