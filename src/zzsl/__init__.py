@@ -18,7 +18,6 @@ from .fock import (
     BASIS_KINDS,
     FT_CORRECTED,
     FockBasis,
-    FockState,
     FTildeVariant,
     SparseOperator,
     closed_form_dimension,
@@ -64,7 +63,6 @@ __all__ = [
     "FT_CORRECTED",
     "FTildeVariant",
     "FockBasis",
-    "FockState",
     "GRADES",
     "GeneratorId",
     "Grade",

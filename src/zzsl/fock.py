@@ -39,7 +39,6 @@ from .reports import (
 __all__ = [
     "BASIS_KINDS",
     "MAX_BASIS_DIMENSION",
-    "FockState",
     "FockBasis",
     "SparseOperator",
     "FTildeVariant",
@@ -49,6 +48,7 @@ __all__ = [
     "dimension",
     "closed_form_dimension",
     "single_quantum_state",
+    "spanning_rank",
     "operator_matrix",
     "ladder_operators",
     "verify_representation",
@@ -113,68 +113,21 @@ def ft_variants() -> tuple[FTildeVariant, ...]:
     )
 
 
-@dataclass(frozen=True)
-class FockState:
-    """Occupation record: bosonic counts r, l and fermionic bits theta, lam."""
-
-    r: tuple[int, ...]
-    l: tuple[int, ...]
-    theta: tuple[int, ...]
-    lam: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        for occ in self.r + self.l:
-            if type(occ) is not int or occ < 0:  # a bool is not an occupation
-                raise ValueError(f"bosonic occupations must be nonnegative integers, got {occ!r}")
-        for bit in self.theta + self.lam:
-            if type(bit) is not int or bit not in (0, 1):
-                raise ValueError(f"fermionic occupations must be bits, got {bit!r}")
-
-    @classmethod
-    def vacuum(cls, params: AlgebraParams) -> "FockState":
-        return cls.from_occupations(params, (0,) * (params.m + params.n))
-
-    @classmethod
-    def from_occupations(cls, params: AlgebraParams, occ) -> "FockState":
-        """Split a flat occupation sequence, ordered as ``occupations()``."""
-        m1, m, k = params.m1, params.m, params.m + params.n1
-        return cls(tuple(occ[:m1]), tuple(occ[m1:m]), tuple(occ[m:k]), tuple(occ[k:]))
-
-    @property
-    def total(self) -> int:
-        """Total number of quanta R."""
-        return sum(self.r) + sum(self.l) + sum(self.theta) + sum(self.lam)
-
-    def occupations(self) -> tuple[int, ...]:
-        return self.r + self.l + self.theta + self.lam
-
-    def occupation(self, index: int, params: AlgebraParams) -> int:
-        """Occupation of the orbital of operator index (1-based)."""
-        if type(index) is not int or not 1 <= index <= params.m + params.n:  # nor a bool
-            raise ValueError(f"operator index {index!r} is not an int in 1..{params.m + params.n}")
-        return self.occupations()[index - 1]
-
-    def degree(self, params: AlgebraParams) -> Grade:
-        """Mod-2 sum of the grades of all occupied quanta."""
-        l_sum = sum(self.l)
-        return Grade((l_sum + sum(self.theta)) % 2, (l_sum + sum(self.lam)) % 2)
-
-    def to_json(self) -> dict:
-        return {
-            "r": list(self.r),
-            "l": list(self.l),
-            "theta": list(self.theta),
-            "lambda": list(self.lam),
-        }
-
-    def __str__(self) -> str:
-        return f"(r={self.r}, l={self.l}, theta={self.theta}, lambda={self.lam})"
+def _block_lists(params: AlgebraParams, occupations) -> list[dict]:
+    """The r, l, theta and lambda lists of each flat occupation tuple, as
+    JSON objects: the one place that knows the block split, cut once per call."""
+    m1, m, k = params.m1, params.m, params.m + params.n1
+    r, l, theta, lam = slice(0, m1), slice(m1, m), slice(m, k), slice(k, None)
+    return [
+        {"r": list(occ[r]), "l": list(occ[l]), "theta": list(occ[theta]), "lambda": list(occ[lam])}
+        for occ in occupations
+    ]
 
 
 class FockBasis:
     """All admissible states of an order-p module, in graded lexicographic
-    order, stored once as flat occupation tuples in ``occupations``; a
-    ``FockState`` is built only where one is handed out or taken in."""
+    order.  A state is its flat occupation tuple, ordered r, l, theta,
+    lambda; ``occupations`` lists them in basis order."""
 
     __slots__ = ("params", "p", "occupations", "_index")
 
@@ -184,12 +137,12 @@ class FockBasis:
         self.occupations = occupations
         self._index = {occ: pos for pos, occ in enumerate(occupations)}
 
-    def index_of(self, state: FockState) -> int:
-        pos = self._index.get(state.occupations())
-        # a state split into other blocks has the same tuple but is not here
-        if pos is None or FockState.from_occupations(self.params, state.occupations()) != state:
-            raise ValueError(f"state {state} is not in the order-{self.p} basis")
-        return pos
+    def index_of(self, occ: tuple[int, ...]) -> int:
+        """Position of the flat occupation tuple ``occ`` in the basis."""
+        # exact ints only: (True, 0) and (1.0, 0) hash and compare equal to (1, 0)
+        if type(occ) is not tuple or any(type(k) is not int for k in occ) or occ not in self._index:
+            raise ValueError(f"occupation {occ!r} is not in the order-{self.p} basis")
+        return self._index[occ]
 
     # The states are fixed by params and p, so two bases with both equal
     # are the same space (operators built on either may be combined).
@@ -207,16 +160,15 @@ class FockBasis:
     size = property(__len__)
 
     def index_grade(self, i: int) -> Grade:
-        """Degree of the i-th basis state, which grades operators entry by entry."""
+        """Degree of the i-th basis state: the grades of its odd-occupied orbitals, summed."""
         if type(i) is not int or not 0 <= i < len(self):  # nor a bool
             raise ValueError(f"basis index {i!r} is not an int in 0..{len(self) - 1}")
-        return FockState.from_occupations(self.params, self.occupations[i]).degree(self.params)
-
-    def __iter__(self):
-        return (FockState.from_occupations(self.params, occ) for occ in self.occupations)
+        odd = (k for k, count in enumerate(self.occupations[i], start=1) if count % 2)
+        return sum(map(self.params.index_grade, odd), Grade(0, 0))
 
     def to_json(self) -> list[dict]:
-        return [{"index": pos, **state.to_json()} for pos, state in enumerate(self)]
+        blocks = _block_lists(self.params, self.occupations)
+        return [{"index": pos, **state} for pos, state in enumerate(blocks)]
 
     def __repr__(self) -> str:
         return f"FockBasis(params={self.params}, p={self.p}, dim={len(self)})"
@@ -303,13 +255,13 @@ def _norm_square(occ: tuple[int, ...], m: int, p: int) -> Fraction:
     return Fraction(factorial(p - sum(occ)), denom)
 
 
-def single_quantum_state(params: AlgebraParams, index: int) -> FockState:
-    """The state with exactly one quantum, on the orbital of operator ``index``."""
+def single_quantum_state(params: AlgebraParams, index: int) -> tuple[int, ...]:
+    """The flat occupation tuple with one quantum, on the orbital of operator ``index``."""
     if type(index) is not int or not 1 <= index <= params.m + params.n:  # nor a bool
         raise ValueError(f"operator index {index!r} is not an int in 1..{params.m + params.n}")
     occ = [0] * (params.m + params.n)
     occ[index - 1] = 1
-    return FockState.from_occupations(params, occ)
+    return tuple(occ)
 
 
 def _ladder_rule(
@@ -713,7 +665,7 @@ def order_one_defining_comparison(params: AlgebraParams) -> bool:
     under the canonical identification vacuum <-> 0, one-quantum state of
     operator i <-> i."""
     basis = enumerate_basis(params, 1)
-    perm = [basis.index_of(FockState.vacuum(params))]
+    perm = [basis.index_of((0,) * (params.m + params.n))]
     for i in params.operator_indices():
         perm.append(basis.index_of(single_quantum_state(params, i)))
     size = params.size

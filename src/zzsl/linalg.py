@@ -8,6 +8,8 @@ from typing import Mapping
 
 from .radicals import RadicalSum, exact
 
+__all__ = ["SparseMatrix", "RationalRowSpace"]
+
 
 class SparseMatrix:
     """Square matrix of exact scalars, stored as its nonzero entries.

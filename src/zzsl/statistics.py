@@ -16,8 +16,8 @@ from typing import Sequence
 from .algebra import RELATION_TAGS, GeneratorId, checks_at
 from .fock import (
     FT_CORRECTED,
-    FockState,
     SparseOperator,
+    _block_lists,
     _corrected_relation_sweeps,
     enumerate_basis,
     ladder_operators,
@@ -244,16 +244,14 @@ def spectrum(
 def occupancy_report(params: AlgebraParams, p: int) -> OccupancyReport:
     """Per-orbital and global occupation maxima over the order-p basis."""
     basis = enumerate_basis(params, p)
-    peak = FockState.from_occupations(
-        params, [max(column) for column in zip(*basis.occupations)]
-    )
+    (peak,) = _block_lists(params, [[max(column) for column in zip(*basis.occupations)]])
     return OccupancyReport(
         params.as_tuple(),
         p,
         len(basis),
-        list(peak.r),
-        list(peak.l),
-        list(peak.theta),
-        list(peak.lam),
+        peak["r"],
+        peak["l"],
+        peak["theta"],
+        peak["lambda"],
         max(map(sum, basis.occupations)),
     )

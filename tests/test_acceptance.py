@@ -178,11 +178,8 @@ def test_criterion_8_hamiltonian_ladder_and_spectrum():
                 failures.append((params.as_tuple(), p, "multiplicity sum"))
             basis = enumerate_basis(params, p)
             ham = hamiltonian(params, p, eps)
-            for pos, state in enumerate(basis):
-                predicted = sum(
-                    e * (state.occupation(i + 1, params) + state.occupation(i + 1 + params.m, params))
-                    for i, e in enumerate(eps)
-                )
+            for pos, occ in enumerate(basis.occupations):
+                predicted = sum(e * (occ[i] + occ[i + params.m]) for i, e in enumerate(eps))
                 if ham.entry(pos, pos) != predicted:
                     failures.append((params.as_tuple(), p, pos, "diagonal prediction"))
     elapsed = time.perf_counter() - start

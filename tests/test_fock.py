@@ -14,7 +14,6 @@ from zzsl import (
     FAMILIES,
     FT_CORRECTED,
     AlgebraParams,
-    FockState,
     FTildeVariant,
     GeneratorId,
     Grade,
@@ -61,12 +60,8 @@ def test_basis_small_example():
     P = AlgebraParams(1, 0, 1, 0)
     basis = enumerate_basis(P, 1)
     assert len(basis) == 3
-    assert basis.index_of(FockState.vacuum(P)) == 0
-    assert set(basis) == {
-        FockState((0,), (), (0,), ()),
-        FockState((1,), (), (0,), ()),
-        FockState((0,), (), (1,), ()),
-    }
+    assert basis.index_of((0, 0)) == 0
+    assert set(basis.occupations) == {(0, 0), (1, 0), (0, 1)}
 
 
 def test_basis_thirteen_states():
@@ -76,12 +71,12 @@ def test_basis_thirteen_states():
 def test_basis_order_and_uniqueness():
     P = AlgebraParams(1, 1, 1, 1)
     basis = enumerate_basis(P, 3)
-    keys = [(s.total, s.occupations()) for s in basis]
+    keys = [(sum(occ), occ) for occ in basis.occupations]
     assert keys == sorted(keys)
-    assert len(set(basis)) == len(basis)
-    assert [s for s in basis if s.total == 0] == [FockState.vacuum(P)]
-    for pos, state in enumerate(basis):
-        assert basis.index_of(state) == pos
+    assert len(set(basis.occupations)) == len(basis)
+    assert [occ for occ in basis.occupations if sum(occ) == 0] == [(0, 0, 0, 0)]
+    for pos, occ in enumerate(basis.occupations):
+        assert basis.index_of(occ) == pos
 
 
 def test_basis_rejects_p_zero():
@@ -151,14 +146,38 @@ def test_basis_json_is_pinned():
     assert digest.hexdigest() == _BASIS_JSON_DIGEST
 
 
+# sha256 over repr([basis.index_grade(i).as_tuple() for every index i]) for
+# the same compositions and orders, in the same order
+_DEGREE_DIGEST = "47c777f9d163b25c9e8ec7e7860a03255a5e696f7527582f5de58fe70a96c5ba"
+
+
+def test_state_degrees_are_pinned():
+    digest = hashlib.sha256()
+    for P in small_sweep(4):
+        for p in range(1, 5):
+            basis = enumerate_basis(P, p)
+            grades = [basis.index_grade(i).as_tuple() for i in range(len(basis))]
+            digest.update(repr(grades).encode())
+    assert digest.hexdigest() == _DEGREE_DIGEST
+
+
 def test_state_validation():
-    with pytest.raises(ValueError):
-        FockState((-1,), (), (), ())
-    with pytest.raises(ValueError):
-        FockState((), (), (2,), ())
-    for bad in [((True,), (), (0,), ()), ((0,), (), (False,), ()), ((0,), (), (1.0,), ())]:
+    # index_of is the one validation point of a flat occupation tuple
+    basis = enumerate_basis(AlgebraParams(1, 1, 1, 1), 2)
+    assert basis.index_of((1, 0, 0, 1)) == basis.occupations.index((1, 0, 0, 1))
+    for bad in [
+        (True, 0, 0, 0),  # a bool or a float entry hashes and compares equal
+        (1.0, 0, 0, 0),  # to its int, so a bare dict lookup would find it
+        (0, 0, False, 0),
+        (-1, 0, 0, 0),
+        (0, 0, 2, 0),  # an odd orbital holds at most one quantum
+        (2, 1, 0, 0),  # total 3 above p = 2
+        (0, 0, 0),
+        (0, 0, 0, 0, 0),
+        [1, 0, 0, 1],  # not a tuple
+    ]:
         with pytest.raises(ValueError):
-            FockState(*bad)
+            basis.index_of(bad)
 
 
 def test_dimension_closed_form():
@@ -182,80 +201,72 @@ def test_basis_json_uses_lambda_key():
 # ------------------------------------------------------------- norm factors
 
 
-def norm_factor(state, p):
-    """Scalar relating the unnormalized monomial vector of an admissible
-    state to its unit vector: sqrt((p-R)! / (p! * prod of the bosonic
-    occupations' factorials))."""
+def norm_factor(occ, m, p):
+    """Scalar relating the unnormalized monomial vector of the admissible
+    flat occupation tuple ``occ`` to its unit vector: sqrt((p-R)! / (p! *
+    prod of the m bosonic occupations' factorials))."""
     fock._check_positive(p)
-    if state.total > p:
-        raise ValueError(f"state with total {state.total} is inadmissible at order {p}")
-    denom = factorial(p) * prod(factorial(occ) for occ in state.r + state.l)
-    return RadicalSum.sqrt_fraction(Fraction(factorial(p - state.total), denom))
+    if sum(occ) > p:
+        raise ValueError(f"state with total {sum(occ)} is inadmissible at order {p}")
+    denom = factorial(p) * prod(factorial(k) for k in occ[:m])
+    return RadicalSum.sqrt_fraction(Fraction(factorial(p - sum(occ)), denom))
 
 
 def test_norm_factor_examples():
-    P = AlgebraParams(1, 0, 0, 0)
-    assert norm_factor(FockState.vacuum(P), 2) == 1
-    assert norm_factor(FockState((1,), (), (), ()), 2) == RadicalSum.sqrt(2) / 2
-    assert norm_factor(FockState((2,), (), (), ()), 2) == Fraction(1, 2)
+    # one bosonic orbital, m = 1
+    assert norm_factor((0,), 1, 2) == 1
+    assert norm_factor((1,), 1, 2) == RadicalSum.sqrt(2) / 2
+    assert norm_factor((2,), 1, 2) == Fraction(1, 2)
     with pytest.raises(ValueError):
-        norm_factor(FockState((2,), (), (), ()), 1)
+        norm_factor((2,), 1, 1)
     # the order goes through the same positive-integer test as the dimension
     for bad in (True, 1.5, 0):
         with pytest.raises(ValueError, match="order p must be a positive integer"):
-            norm_factor(FockState((1,), (), (), ()), bad)
+            norm_factor((1,), 1, bad)
 
 
 # ------------------------------------------------------------------ actions
 
 
-def _action(gid, params, state, p, basis_kind="orthonormal"):
-    """The nonzero entries of the operator matrix in the column of ``state``,
-    as (coefficient, target state) pairs, read through ``basis.index_of``."""
+def _action(gid, params, occ, p, basis_kind="orthonormal"):
+    """The nonzero entries of the operator matrix in the column of the flat
+    occupation tuple ``occ``, as (coefficient, target tuple) pairs, read
+    through ``basis.index_of``."""
     basis = enumerate_basis(params, p)
-    col = basis.index_of(state)
+    col = basis.index_of(occ)
     op = operator_matrix(gid, params, p, basis_kind)
-    return [
-        (coeff, FockState.from_occupations(params, basis.occupations[row]))
-        for row, j, coeff in op.items()
-        if j == col
-    ]
+    return [(coeff, basis.occupations[row]) for row, j, coeff in op.items() if j == col]
 
 
 def test_lowering_kills_vacuum():
     P = AlgebraParams(1, 1, 1, 1)
-    vac = FockState.vacuum(P)
+    vac = (0, 0, 0, 0)
     for i in range(1, 5):
         assert _action(GeneratorId(i, "-"), P, vac, 2) == []
 
 
 def test_f_raising_sign_example():
     P = AlgebraParams(1, 1, 1, 1)
-    state = FockState((0,), (1,), (0,), (0,))
-    out = _action(GeneratorId(3, "+"), P, state, 2)
-    assert out == [(RadicalSum(-1), FockState((0,), (1,), (1,), (0,)))]
+    out = _action(GeneratorId(3, "+"), P, (0, 1, 0, 0), 2)
+    assert out == [(RadicalSum(-1), (0, 1, 1, 0))]
 
 
 def test_pauli_factor():
     P = AlgebraParams(1, 1, 1, 1)
-    state = FockState((0,), (0,), (1,), (0,))
-    assert _action(GeneratorId(3, "+"), P, state, 2) == []
+    assert _action(GeneratorId(3, "+"), P, (0, 0, 1, 0), 2) == []
 
 
 def test_unnormalized_lowering_coefficient():
     P = AlgebraParams(1, 0, 0, 0)
-    state = FockState((2,), (), (), ())
-    out = _action(GeneratorId(1, "-"), P, state, 3, "unnormalized")
-    assert out == [(RadicalSum(4), FockState((1,), (), (), ()))]
+    out = _action(GeneratorId(1, "-"), P, (2,), 3, "unnormalized")
+    assert out == [(RadicalSum(4), (1,))]
 
 
 def test_unnormalized_raising_drops_at_cap():
     P = AlgebraParams(1, 0, 0, 0)
-    full = FockState((3,), (), (), ())
-    assert _action(GeneratorId(1, "+"), P, full, 3, "unnormalized") == []
-    below = FockState((2,), (), (), ())
-    out = _action(GeneratorId(1, "+"), P, below, 3, "unnormalized")
-    assert out == [(RadicalSum(1), full)]
+    assert _action(GeneratorId(1, "+"), P, (3,), 3, "unnormalized") == []
+    out = _action(GeneratorId(1, "+"), P, (2,), 3, "unnormalized")
+    assert out == [(RadicalSum(1), (3,))]
 
 
 def test_apply_rejects_bad_input():
@@ -278,7 +289,7 @@ def test_operator_matrix_single_entry():
     P = AlgebraParams(1, 0, 1, 0)
     basis = enumerate_basis(P, 1)
     op = operator_matrix(GeneratorId(1, "+"), P, 1)
-    row = basis.index_of(FockState((1,), (), (0,), ()))
+    row = basis.index_of((1, 0))
     assert op.items() == [(row, 0, RadicalSum(1))]
 
 
@@ -344,7 +355,7 @@ def test_quotient_consistency():
     # orthonormal matrices entry by entry
     for P, p in ((AlgebraParams(1, 1, 1, 1), 2), (AlgebraParams(1, 0, 1, 0), 3)):
         basis = enumerate_basis(P, p)
-        factors = [norm_factor(s, p) for s in basis]
+        factors = [norm_factor(occ, P.m, p) for occ in basis.occupations]
         for i in range(1, P.m + P.n + 1):
             for sign in "+-":
                 gid = GeneratorId(i, sign)
@@ -368,9 +379,9 @@ def test_number_operator_identity():
         assert bracket.is_diagonal
         d = P.index_grade(i)
         sign = 1 if d.dot(d) == 0 else -1
-        for pos, state in enumerate(basis):
-            value = bracket.entry(pos, pos) + RadicalSum(sign * state.occupation(i, P))
-            assert value == p - state.total
+        for pos, occ in enumerate(basis.occupations):
+            value = bracket.entry(pos, pos) + RadicalSum(sign * occ[i - 1])
+            assert value == p - sum(occ)
 
 
 # ------------------------------------------------------------- verification
@@ -610,8 +621,8 @@ def test_the_variant_is_checked_whatever_the_composition(blocks, variant):
 
 def test_single_quantum_state_layout():
     P = AlgebraParams(1, 1, 1, 1)
-    assert single_quantum_state(P, 1) == FockState((1,), (0,), (0,), (0,))
-    assert single_quantum_state(P, 4) == FockState((0,), (0,), (0,), (1,))
+    assert single_quantum_state(P, 1) == (1, 0, 0, 0)
+    assert single_quantum_state(P, 4) == (0, 0, 0, 1)
     with pytest.raises(ValueError):
         single_quantum_state(P, 5)
 
@@ -620,7 +631,6 @@ _INDEX_TAKERS = {
     "index_grade": lambda P, i: P.index_grade(i),
     "basis.index_grade": lambda P, i: enumerate_basis(P, 2).index_grade(i),
     "single_quantum_state": single_quantum_state,
-    "occupation": lambda P, i: FockState.vacuum(P).occupation(i, P),
     "GeneratorId": lambda P, i: GeneratorId(i, "+").grade(P),
 }
 
@@ -636,7 +646,9 @@ def test_an_index_that_is_not_an_int_is_rejected(taker, bad):
 
 def test_a_basis_index_out_of_range_is_rejected():
     basis = enumerate_basis(AlgebraParams(1, 1, 1, 1), 2)
-    assert basis.index_grade(len(basis) - 1) == list(basis)[-1].degree(basis.params)
+    # the degree of the last state, (sum l + sum theta, sum l + sum lambda) mod 2
+    r, l, theta, lam = basis.occupations[-1]
+    assert basis.index_grade(len(basis) - 1) == Grade((l + theta) % 2, (l + lam) % 2)
     for bad in (-1, len(basis)):
         with pytest.raises(ValueError):
             basis.index_grade(bad)
@@ -907,12 +919,12 @@ def _symmetric_power_matrix(gid, P, p, kind):
     basis, d = enumerate_basis(P, p), _variable_degrees(P)
     up, down = (gid.index, 0) if gid.sign == "+" else (0, gid.index)
     entries = {}
-    for col, state in enumerate(basis):
-        n = (p - state.total,) + state.occupations()
+    for col, occ in enumerate(basis.occupations):
+        n = (p - sum(occ),) + occ
         term = _derivation(n, up, down, d)
         if term is not None:
             coeff, image = term
-            row = basis.index_of(FockState.from_occupations(P, image[1:]))
+            row = basis.index_of(image[1:])
             # c_n x^n maps to coeff x^image = coeff (c_n / c_image) (c_image x^image)
             ratio = _scale_square(n, p, kind) / _scale_square(image, p, kind)
             entries[row, col] = RadicalSum.sqrt_fraction(ratio) * coeff
@@ -1038,7 +1050,7 @@ def _radical_conjugation(P, p):
     """The conjugation check in RadicalSum arithmetic: both kinds declare the
     same grades and nonzero keys, and O[i,j] * n_i == U[i,j] * n_j for every
     entry, with n = norm_factor."""
-    n = [norm_factor(state, p) for state in enumerate_basis(P, p)]
+    n = [norm_factor(occ, P.m, p) for occ in enumerate_basis(P, p).occupations]
     kinds = (itertools.chain(*ladder_operators(P, p, kind)) for kind in BASIS_KINDS)
     for ortho, unnorm in zip(*kinds):
         o = {(i, j): c for i, j, c in ortho.items()}
