@@ -45,7 +45,6 @@ from .radicals import RadicalSum, normalize_radical
 from .statistics import (
     FAMILIES,
     HAMILTONIAN_READINGS,
-    EnergyAssignment,
     hamiltonian,
     ladder_residual,
     occupancy_report,
@@ -58,7 +57,6 @@ __version__ = "0.1.0"
 __all__ = [
     "AlgebraParams",
     "BASIS_KINDS",
-    "EnergyAssignment",
     "FAMILIES",
     "FT_CORRECTED",
     "FTildeVariant",

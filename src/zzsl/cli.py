@@ -20,7 +20,6 @@ from .fock import (
 from .grading import AlgebraParams, axiom_report
 from .statistics import (
     FAMILIES,
-    EnergyAssignment,
     ladder_residual,
     occupancy_report,
     relation_suite,
@@ -266,12 +265,11 @@ def _cmd_export(ns: argparse.Namespace) -> int:
 def _cmd_spectrum(ns: argparse.Namespace) -> int:
     p = _single_order(ns)
     params = ns.params
-    energies = EnergyAssignment.from_values(ns.eps)
-    pairs = spectrum(params, p, energies, ns.reading)
+    pairs = spectrum(params, p, ns.eps, ns.reading)
     ladder = []
     for index in range(1, 2 * params.m + 1):
         for sign in ("+", "-"):
-            residual = ladder_residual(params, p, energies, index, sign, ns.reading)
+            residual = ladder_residual(params, p, ns.eps, index, sign, ns.reading)
             ladder.append({
                 "generator": f"a{index}{sign}",
                 "residual_zero": residual.is_zero,

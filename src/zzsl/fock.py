@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -20,7 +19,7 @@ from .algebra import (
     GeneratorId,
     checks_at,
     generator_ids,
-    matrix_unit,
+    generator_matrix,
     relation_failures,
     relation_report,
     sweep_indices,
@@ -245,14 +244,6 @@ def _check_order_range(params: AlgebraParams, lo: int, hi: int) -> None:
             f"Fock modules of orders {lo}..{hi} for {params.as_tuple()} have {total} states "
             f"in all, above the enumeration limit {MAX_BASIS_DIMENSION}"
         )
-
-
-def _norm_square(occ: tuple[int, ...], m: int, p: int) -> Fraction:
-    """The square of the norm factor, the scalar relating the unnormalized
-    monomial vector of the admissible occupation tuple ``occ``, of total R, to
-    its unit vector: (p-R)! / (p! * prod of the m bosonic occupations' factorials)."""
-    denom = factorial(p) * prod(factorial(k) for k in occ[:m])
-    return Fraction(factorial(p - sum(occ)), denom)
 
 
 def single_quantum_state(params: AlgebraParams, index: int) -> tuple[int, ...]:
@@ -521,15 +512,19 @@ def _orthonormal_is_conjugate(basis: FockBasis, ortho, unnorm) -> bool:
     keys, and ``O[i,j] * n_i == U[i,j] * n_j`` must hold with n the
     norm factors.  Since every n_i > 0, that holds exactly when the
     two entries have the same sign and ``O**2 * a_i == U**2 * a_j``, with
-    ``a = n**2`` the rational ``_norm_square``.  So no radical is multiplied.
+    ``a = n**2``: for the state i of total R_i, (p - R_i)! over p! times the
+    factorials of its bosonic occupations.  So no radical is multiplied.
     This is decided only for an ``int`` or one-term ``c*sqrt(s)`` entry O
     against an ``int`` entry U.  Any other entry declines: the check returns
     False and the caller runs the full orthonormal sweep.  So the check may
     decline, but it never wrongly passes.
     """
-    a = [_norm_square(occ, basis.params.m, basis.p) for occ in basis.occupations]
-    # a_i = num[i] / den[i]: the squares compare by integer cross products
-    num, den = [q.numerator for q in a], [q.denominator for q in a]
+    # a_i = num[i] / (p! * den[i]): the squares compare by integer cross
+    # products, in which p! cancels
+    m, p = basis.params.m, basis.p
+    fact = [factorial(k) for k in range(p + 1)]
+    num = [fact[p - sum(occ)] for occ in basis.occupations]
+    den = [prod(fact[k] for k in occ[:m]) for occ in basis.occupations]
     for o_op, u_op in zip(itertools.chain(*ortho), itertools.chain(*unnorm)):
         if o_op is None:  # not touched, like its partner
             continue
@@ -668,16 +663,9 @@ def order_one_defining_comparison(params: AlgebraParams) -> bool:
     perm = [basis.index_of((0,) * (params.m + params.n))]
     for i in params.operator_indices():
         perm.append(basis.index_of(single_quantum_state(params, i)))
-    size = params.size
     for gid in generator_ids(params):
-        op = operator_matrix(gid, params, 1, "orthonormal")
-        ref = (
-            matrix_unit(gid.index, 0, params)
-            if gid.sign == "+"
-            else matrix_unit(0, gid.index, params)
-        )
-        for row in range(size):
-            for col in range(size):
-                if op.entry(perm[row], perm[col]) != ref.entry(row, col):
-                    return False
+        ref = generator_matrix(gid, params)._entries
+        moved = SparseOperator(basis, {(perm[i], perm[j]): v for (i, j), v in ref.items()})
+        if operator_matrix(gid, params, 1, "orthonormal") != moved:
+            return False
     return True

@@ -8,7 +8,6 @@ suites evaluate the identities on the Fock operator matrices exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
@@ -29,7 +28,6 @@ from .reports import OccupancyReport, RelationFailure, RelationReport, Represent
 __all__ = [
     "FAMILIES",
     "HAMILTONIAN_READINGS",
-    "EnergyAssignment",
     "relation_suite",
     "hamiltonian",
     "ladder_residual",
@@ -41,35 +39,21 @@ FAMILIES = ("A-stat", "A1-f", "A1-ft", "MixA1", "MixA2")
 HAMILTONIAN_READINGS = ("graded", "literal")
 
 
-@dataclass(frozen=True)
-class EnergyAssignment:
-    """Orbital energies; operator i and its odd partner i+m share epsilon_i."""
-
-    epsilons: tuple[Fraction, ...]
-
-    @classmethod
-    def from_values(cls, values: Sequence[Rational]) -> "EnergyAssignment":
-        eps = []
-        for v in values:
-            if isinstance(v, float):
-                raise TypeError("energies must be exact rationals")
-            eps.append(Fraction(v))
-        return cls(tuple(eps))
-
-    def __len__(self) -> int:
-        return len(self.epsilons)
-
-    def check(self, params: AlgebraParams) -> None:
-        if not all(isinstance(e, (int, Fraction)) for e in self.epsilons):
-            raise TypeError("energies must be exact rationals")
-        if params.m != params.n:
-            raise ValueError(
-                f"energy pairing requires m = n, got m={params.m}, n={params.n}"
-            )
-        if len(self.epsilons) != params.m:
-            raise ValueError(
-                f"expected {params.m} energies, got {len(self.epsilons)}"
-            )
+def _energies(params: AlgebraParams, energies: Sequence[Rational]) -> tuple[Fraction, ...]:
+    """The orbital energies as Fractions; operator i and its odd partner i+m
+    share epsilon_i.  Each must be an exact int (not a bool) or Fraction."""
+    values = tuple(energies)
+    if not all(type(e) is int or isinstance(e, Fraction) for e in values):
+        raise TypeError("energies must be exact rationals")
+    if params.m != params.n:
+        raise ValueError(
+            f"energy pairing requires m = n, got m={params.m}, n={params.n}"
+        )
+    if len(values) != params.m:
+        raise ValueError(
+            f"expected {params.m} energies, got {len(values)}"
+        )
+    return tuple(map(Fraction, values))
 
 
 # Each family is the triple-relation sweep at index blocks (I, J, K) of the
@@ -153,7 +137,7 @@ def relation_suite(
 def hamiltonian(
     params: AlgebraParams,
     p: int,
-    energies: EnergyAssignment | Sequence[Rational],
+    energies: Sequence[Rational],
     reading: str = "graded",
 ) -> SparseOperator:
     """Energy operator pairing operator i with its odd partner i+m.
@@ -166,10 +150,7 @@ def hamiltonian(
     """
     if reading not in HAMILTONIAN_READINGS:
         raise ValueError(f"reading must be one of {HAMILTONIAN_READINGS}")
-    if not isinstance(energies, EnergyAssignment):
-        energies = EnergyAssignment.from_values(energies)
-    energies.check(params)
-    return _build_hamiltonian(params, p, tuple(energies.epsilons), reading)
+    return _build_hamiltonian(params, p, _energies(params, energies), reading)
 
 
 # One spectrum command asks for the same H once for the spectrum and once
@@ -199,7 +180,7 @@ def _build_hamiltonian(
 def ladder_residual(
     params: AlgebraParams,
     p: int,
-    energies: EnergyAssignment | Sequence[Rational],
+    energies: Sequence[Rational],
     index: int,
     sign: str = "+",
     reading: str = "graded",
@@ -210,16 +191,14 @@ def ladder_residual(
     partners.
     """
     GeneratorId(index, sign)  # rejects a bad sign and a non-integer index
-    if not isinstance(energies, EnergyAssignment):
-        energies = EnergyAssignment.from_values(energies)
-    energies.check(params)
+    epsilons = _energies(params, energies)
     m = params.m
     if index > 2 * m:
         raise ValueError(f"generator index {index} out of range 1..{2 * m}")
-    ham = hamiltonian(params, p, energies, reading)
+    ham = hamiltonian(params, p, epsilons, reading)
     plus, minus = ladder_operators(params, p, "orthonormal")
     op = plus[index - 1] if sign == "+" else minus[index - 1]
-    eps = energies.epsilons[(index - 1) % m]
+    eps = epsilons[(index - 1) % m]
     scale = eps if sign == "+" else -eps
     return ham.commutator(op) - op * scale
 
@@ -227,7 +206,7 @@ def ladder_residual(
 def spectrum(
     params: AlgebraParams,
     p: int,
-    energies: EnergyAssignment | Sequence[Rational],
+    energies: Sequence[Rational],
     reading: str = "graded",
 ) -> list[tuple[RadicalSum, int]]:
     """Eigenvalues of the (diagonal) Hamiltonian with multiplicities, ascending."""

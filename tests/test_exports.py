@@ -6,6 +6,7 @@ import ast
 import importlib
 import inspect
 import pkgutil
+import sys
 
 import pytest
 
@@ -43,3 +44,18 @@ def test_every_package_export_is_listed_where_it_is_defined():
         if attr not in getattr(importlib.import_module(homes[0]), "__all__", []):
             unlisted.append(f"{homes[0]}.{attr}")
     assert not unlisted, f"exported by zzsl but missing from their module's __all__: {unlisted}"
+
+
+def test_the_runtime_imports_only_the_standard_library():
+    """Every ``import`` and absolute ``from`` in the package names a stdlib module."""
+    foreign = []
+    for name in ["zzsl", *_MODULES]:
+        for node in ast.walk(ast.parse(inspect.getsource(importlib.import_module(name)))):
+            if isinstance(node, ast.Import):
+                tops = [alias.name.split(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                tops = [node.module.split(".")[0]]
+            else:
+                continue
+            foreign += [f"{name}: {top}" for top in tops if top not in sys.stdlib_module_names]
+    assert not foreign, f"imports outside the standard library: {foreign}"

@@ -864,6 +864,41 @@ def test_every_part_of_the_ladder_rule_is_checked(monkeypatch, name):
     assert got == _RULE_FAULT_DIGESTS[name]
 
 
+# At p = 1 every state has total 0 or 1.  The sign fault acts only where an
+# odd operator moves a quantum beside an l quantum, at total 2, and the
+# lowering-factor fault acts on the unnormalized matrices only; so neither
+# changes the orthonormal p = 1 matrices.
+_ORDER_ONE_SEES = {"sign": False, "weight": True, "slot": True, "quotient": True,
+                   "lowering-factor": False}
+
+
+@pytest.mark.parametrize("name", sorted(_RULE_FAULTS))
+@pytest.mark.parametrize("blocks", [(1, 1, 1, 1), (2, 0, 1, 1), (0, 2, 2, 0)])
+def test_order_one_comparison_fails_under_faults_that_reach_order_one(monkeypatch, name, blocks):
+    monkeypatch.setattr(fock, "_ladder_rule", _faulty_rule(_RULE_FAULTS[name]))
+    assert order_one_defining_comparison(AlgebraParams(*blocks)) != _ORDER_ONE_SEES[name]
+
+
+def test_every_ladder_operator_is_monomial():
+    """At most one entry per column, for both basis kinds and every slot
+    variant: the conjugation check compares key sets on this ground."""
+    def monomial(op):
+        return len({j for (_, j) in op._entries}) == op.nnz
+
+    for P in small_sweep(4):
+        if max(P.as_tuple()) > 2:
+            continue
+        for p in (1, 2, 3):
+            for kind in BASIS_KINDS:
+                plus, minus = ladder_operators(P, p, kind)
+                assert all(map(monomial, plus + minus)), (P, p, kind)
+            for variant in ft_variants():
+                for gid in generator_ids(P):
+                    assert monomial(operator_matrix(gid, P, p, "orthonormal", variant)), (
+                        P, p, variant.label, gid
+                    )
+
+
 # ------------------------------------------ the colour-symmetric power oracle
 #
 # The order-p module is the p-th colour-symmetric power of the defining

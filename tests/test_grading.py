@@ -341,6 +341,37 @@ def test_axiom_report_planted_faults_match_pinned_digests(monkeypatch, fault, bl
     assert hashlib.sha256(text.encode()).hexdigest() == _PLANTED_AXIOM_DIGESTS[fault, blocks]
 
 
+# sha256 of json.dumps(axiom_report(P).to_json(), sort_keys=True) when every
+# bracket whose right operand has more than one entry gains e_00, recorded
+# from the sweep that walked the unit pairs twice (pair checks, then Jacobi).
+_JACOBI_ONLY_DIGESTS = {
+    (1, 1, 1, 1): (972, "0d655fc6626f9ba6963dc0e034a3d93296d642faf27eba72ef0d4ebda377a91f"),
+    (1, 0, 1, 1): (368, "1348577540cc7c36c92f19d4561ae0b947006b2fb69b0a7f01a681d63dbaf315"),
+    (2, 1, 2, 1): (4056, "0f94a50aa0e2c4985620517efd1f7e444a2dd74c846c6033375b0e22a7abee57"),
+}
+
+
+@pytest.mark.parametrize("blocks", sorted(_JACOBI_ONLY_DIGESTS))
+def test_a_fault_only_the_jacobi_check_sees_matches_pinned_digest(monkeypatch, blocks):
+    # Unit brackets have a unit as right operand, so every pair check still
+    # passes; only the [x,[y,z]] terms of the Jacobi identity are wrong.
+    P = AlgebraParams(*blocks)
+    honest = grading.graded_bracket
+
+    def planted(x, y):
+        out = honest(x, y)
+        return out + GradedMatrix.unit(P, 0, 0) if y.nnz > 1 else out
+
+    monkeypatch.setattr(grading, "graded_bracket", planted)
+    report = axiom_report(P)
+    count, digest = _JACOBI_ONLY_DIGESTS[blocks]
+    assert {f.identity for f in report.failures} == {"jacobi"}
+    assert len(report.failures) == count
+    assert (report.pairs_checked, report.triples_checked) == (P.size**4, P.size**6)
+    text = json.dumps(report.to_json(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
 def test_a_second_component_after_the_right_grade_fails_the_grading_check(monkeypatch):
     P = AlgebraParams(1, 1, 1, 1)
     honest = grading.graded_bracket

@@ -10,7 +10,6 @@ from zzsl import (
     FT_CORRECTED,
     AlgebraParams,
     FTildeVariant,
-    EnergyAssignment,
     Grade,
     dimension,
     enumerate_basis,
@@ -176,24 +175,39 @@ def test_hamiltonian_eigenvalue_two_states():
 def test_hamiltonian_validation():
     P = AlgebraParams(1, 0, 1, 0)
     H = hamiltonian(P, 1, [1])
-    assert hamiltonian(P, 1, EnergyAssignment([Fraction(1)])) == H  # list field
+    assert hamiltonian(P, 1, [Fraction(1)]) == H  # list input
+    assert hamiltonian(P, 1, (e for e in [1])) == H  # read once, as a generator
     # the calls below reuse the arguments of a built H; validation runs first
     with pytest.raises(ValueError):
         hamiltonian(AlgebraParams(1, 0, 0, 0), 1, [1])  # m != n
     with pytest.raises(ValueError):
         hamiltonian(P, 1, [1, 2])  # wrong length
     with pytest.raises(ValueError):
-        hamiltonian(P, 1, EnergyAssignment([Fraction(1), Fraction(2)]))
+        hamiltonian(P, 1, (Fraction(1), Fraction(2)))
     with pytest.raises(ValueError):
         ladder_residual(P, 1, [1, 2], 1)
     with pytest.raises(TypeError):
-        EnergyAssignment.from_values([0.5])
+        hamiltonian(P, 1, [0.5])
     with pytest.raises(TypeError):
-        hamiltonian(P, 1, EnergyAssignment((1.0,)))
+        hamiltonian(P, 1, (1.0,))
     with pytest.raises(ValueError):
         hamiltonian(P, 1, [1], reading="weird")
     with pytest.raises(ValueError):
         hamiltonian(P, True, [1])  # a bool order
+
+
+@pytest.mark.parametrize("energy", [True, "3/2", 0.5])
+@pytest.mark.parametrize("entry", ["hamiltonian", "ladder_residual", "spectrum"])
+def test_energies_must_be_exact_ints_or_fractions(entry, energy):
+    # a bool or str is not an energy, although Fraction() would take either
+    P = AlgebraParams(1, 0, 1, 0)
+    call = {
+        "hamiltonian": lambda: hamiltonian(P, 1, [energy]),
+        "ladder_residual": lambda: ladder_residual(P, 1, [energy], 1),
+        "spectrum": lambda: spectrum(P, 1, [energy]),
+    }[entry]
+    with pytest.raises(TypeError):
+        call()
 
 
 @pytest.mark.parametrize("blocks", [(1, 0, 1, 0), (1, 1, 1, 1), (2, 0, 2, 0)])
