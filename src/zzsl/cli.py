@@ -52,6 +52,8 @@ def _p_range_type(text: str) -> tuple[int, int]:
 
 def _eps_type(text: str) -> tuple[Fraction, ...]:
     try:
+        if "e" in text.lower():  # an exponent: Fraction("1e10000000") alone takes seconds
+            raise ValueError(text)
         return tuple(Fraction(piece.strip()) for piece in text.split(","))
     except (ValueError, ZeroDivisionError):
         raise argparse.ArgumentTypeError(f"invalid rational list {text!r}") from None

@@ -221,7 +221,9 @@ def _check_order_range(params: AlgebraParams, lo: int, hi: int) -> None:
     not a positive integer or its top module's closed-form dimension exceeds
     ``MAX_BASIS_DIMENSION``, then when its modules, which the
     ``enumerate_basis`` cache may hold all at once, exceed that many states
-    in all.  ``enumerate_basis`` checks its one order as the range p..p.
+    in all, and last when those states, m + n occupation entries each,
+    exceed 16 x ``MAX_BASIS_DIMENSION`` entries in all.  ``enumerate_basis``
+    checks its one order as the range p..p.
 
     The sum of ``closed_form_dimension`` over p = lo..hi takes O(n) terms
     whatever the length of the range: for k fermions the bosonic counts
@@ -243,6 +245,11 @@ def _check_order_range(params: AlgebraParams, lo: int, hi: int) -> None:
         raise ValueError(
             f"Fock modules of orders {lo}..{hi} for {params.as_tuple()} have {total} states "
             f"in all, above the enumeration limit {MAX_BASIS_DIMENSION}"
+        )
+    if total * (m + n) > 16 * MAX_BASIS_DIMENSION:
+        raise ValueError(
+            f"Fock modules of orders {lo}..{hi} for {params.as_tuple()} store {total * (m + n)} "
+            f"occupation entries in all, above the storage limit {16 * MAX_BASIS_DIMENSION}"
         )
 
 
@@ -443,28 +450,26 @@ def _vacuum_suite(params: AlgebraParams, p: int, basis_kind: str, plus, minus) -
     up = [op @ vac for op in plus]
     down = [op @ vac for op in minus]
     failures: list[RelationFailure] = []
-    checked = 0
     for i in range(len(minus)):
         for j in range(len(plus)):
-            checked += 1
             there, back = minus[i] @ up[j], plus[j] @ down[i]
             image = there + back if minus[i].grade.dot(plus[j].grade) else there - back
             if image != (vac * p if i == j else vac * 0):
                 residual = {str(row): c.to_json() for row, _, c in image.items()}
                 failures.append(RelationFailure("vacuum", (i + 1, j + 1), residual))
-    return RelationReport(params.as_tuple(), f"vacuum-{basis_kind}", checked, failures)
+    return RelationReport(
+        params.as_tuple(), f"vacuum-{basis_kind}", len(minus) * len(plus), failures
+    )
 
 
 def _adjointness_suite(params: AlgebraParams, plus, minus) -> RelationReport:
     """Each orthonormal a_i^- is the transpose of a_i^+."""
     failures: list[RelationFailure] = []
-    checked = 0
     for i, (up, down) in enumerate(zip(plus, minus), start=1):
-        checked += 1
         diff = up.transpose() - down
         if not diff.is_zero:
             failures.append(RelationFailure("adjoint", (i,), diff.to_json()))
-    return RelationReport(params.as_tuple(), "adjointness", checked, failures)
+    return RelationReport(params.as_tuple(), "adjointness", len(plus), failures)
 
 
 def spanning_rank(params: AlgebraParams, p: int) -> tuple[int, int]:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from fractions import Fraction
-from heapq import heapify, heappop, heappush
 from typing import Mapping
 
 from .radicals import RadicalSum, exact
@@ -209,60 +208,43 @@ class RationalRowSpace:
     """Row space maintained by incremental Gaussian elimination over Fraction.
 
     Vectors are sparse ``{column: value}`` maps with columns in
-    ``[0, width)``.  Rows are stored the same way, each scaled to 1 at its
-    pivot (the first nonzero column left after reducing it by the rows
-    inserted before it).  A row is zero at the pivot of every earlier row, so
-    reducing a vector by the rows in insertion order never revisits a pivot;
-    only the rows whose pivot column is nonzero in the vector take part.
+    ``[0, width)``.  Each row is stored once, keyed by its pivot (its
+    smallest column) and scaled to 1 there.  A row has no entry left of its
+    pivot, so clearing a vector's smallest column with that pivot's row
+    leaves a larger smallest column: reduction ends with a zero vector or
+    one whose smallest column is a new pivot.
     """
 
     def __init__(self, width: int) -> None:
         if width < 0:
             raise ValueError("width must be nonnegative")
         self.width = width
-        self._rows: list[dict[int, Fraction]] = []
-        self._pivots: list[int] = []
-        self._row_of_pivot: dict[int, int] = {}
+        self._rows: dict[int, dict[int, Fraction]] = {}
 
     @property
     def rank(self) -> int:
         return len(self._rows)
 
-    def _reduce(self, vector: Mapping) -> dict[int, Fraction]:
+    def add(self, vector: Mapping) -> bool:
+        """Insert a vector; returns True when it enlarges the span."""
         v: dict[int, Fraction] = {}
         for col, x in vector.items():
             if not 0 <= col < self.width:
                 raise ValueError(f"column {col} outside width {self.width}")
             if x:
                 v[col] = Fraction(x)
-        row_of_pivot = self._row_of_pivot
-        # Rows to apply, by insertion index; subtracting row k only adds
-        # entries at pivots of rows inserted after k.
-        pending = [row_of_pivot[col] for col in v if col in row_of_pivot]
-        heapify(pending)
-        while pending:
-            k = heappop(pending)
-            c = v.get(self._pivots[k])
-            if c is None:
-                continue  # cancelled since it was queued, or queued twice
-            for col, b in self._rows[k].items():
+        while v:
+            pivot = min(v)
+            row = self._rows.get(pivot)
+            if row is None:
+                inv = 1 / v[pivot]
+                self._rows[pivot] = {col: c * inv for col, c in v.items()}
+                return True
+            c = v[pivot]
+            for col, b in row.items():
                 new = v.get(col, 0) - c * b
                 if new:
-                    if col not in v and col in row_of_pivot:
-                        heappush(pending, row_of_pivot[col])
                     v[col] = new
                 else:
-                    v.pop(col, None)
-        return v
-
-    def add(self, vector: Mapping) -> bool:
-        """Insert a vector; returns True when it enlarges the span."""
-        v = self._reduce(vector)
-        if not v:
-            return False
-        pivot = min(v)
-        inv = 1 / v[pivot]
-        self._row_of_pivot[pivot] = len(self._rows)
-        self._rows.append({col: c * inv for col, c in v.items()})
-        self._pivots.append(pivot)
-        return True
+                    del v[col]
+        return False

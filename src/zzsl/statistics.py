@@ -8,8 +8,10 @@ suites evaluate the identities on the Fock operator matrices exactly.
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from typing import Sequence
 
 from .algebra import RELATION_TAGS, GeneratorId, checks_at
@@ -56,39 +58,31 @@ def _energies(params: AlgebraParams, energies: Sequence[Rational]) -> tuple[Frac
     return tuple(map(Fraction, values))
 
 
-# Each family is the triple-relation sweep at index blocks (I, J, K) of the
-# ranges below: the pairs (i, j) of I x J and the triples (i, j, k) of
-# I x J x K, in this order.  A pure family lists all its pairs before its
-# triples; a mixed family follows each pair by its triples.
-_FAMILY_BLOCKS = {
-    "A-stat": ("pure", (("even", "even", "even"),)),
-    "A1-f": ("pure", (("f", "f", "f"),)),
-    "A1-ft": ("pure", (("ft", "ft", "ft"),)),
-    "MixA1": ("mixed", (("f", "ft", "odd"), ("ft", "f", "odd"))),
-    "MixA2": ("mixed", (("f", "f", "ft"), ("ft", "ft", "f"))),
-}
 _FAMILY_TAGS = {"rel1+": "pair+", "rel1-": "pair-", "rel2": "triple+", "rel3": "triple-"}
 
 
 def _family_indices(family: str, params: AlgebraParams) -> list[tuple[int, ...]]:
-    """The pairs and triples a family checks, in its check order."""
+    """The pairs and triples a family checks, in its check order.
+
+    A pure family on an index range I checks the pairs of I x I, then the
+    triples of I x I x I.  A mixed family goes through its blocks (I, J, K)
+    and follows each pair (i, j) of I x J by its triples (i, j, k), k in K.
+    """
     m, n1, n = params.m, params.n1, params.n
-    ranges = {
-        "even": range(1, m + 1),
-        "f": range(m + 1, m + n1 + 1),
-        "ft": range(m + n1 + 1, m + n + 1),
-        "odd": range(m + 1, m + n + 1),
-    }
-    layout, blocks = _FAMILY_BLOCKS[family]
-    pairs, triples = [], []
+    even, f, ft = range(1, m + 1), range(m + 1, m + n1 + 1), range(m + n1 + 1, m + n + 1)
+    if family == "MixA1":
+        odd = range(m + 1, m + n + 1)
+        blocks = ((f, ft, odd), (ft, f, odd))
+    elif family == "MixA2":
+        blocks = ((f, f, ft), (ft, ft, f))
+    else:
+        I = {"A-stat": even, "A1-f": f, "A1-ft": ft}[family]
+        return list(product(I, repeat=2)) + list(product(I, repeat=3))
+    indices = []
     for I, J, K in blocks:
-        for i in ranges[I]:
-            for j in ranges[J]:
-                pairs.append((i, j))
-                triples.append([(i, j, k) for k in ranges[K]])
-    if layout == "mixed":
-        return [idx for pair, after in zip(pairs, triples) for idx in (pair, *after)]
-    return pairs + [idx for after in triples for idx in after]
+        for i, j in product(I, J):
+            indices += [(i, j)] + [(i, j, k) for k in K]
+    return indices
 
 
 def relation_suite(
@@ -213,10 +207,7 @@ def spectrum(
     ham = hamiltonian(params, p, energies, reading)
     if not ham.is_diagonal:
         raise ValueError("hamiltonian is not diagonal in the Fock basis")
-    counts: dict[Fraction, int] = {}
-    for value in ham.diagonal():
-        key = value.as_fraction()
-        counts[key] = counts.get(key, 0) + 1
+    counts = Counter(value.as_fraction() for value in ham.diagonal())
     return [(RadicalSum(v), c) for v, c in sorted(counts.items())]
 
 

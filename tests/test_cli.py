@@ -6,6 +6,7 @@ import io
 import json
 import sys
 import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -263,6 +264,21 @@ def test_malformed_arguments(capsys):
     assert run([], capsys)[0] == 2
 
 
+@pytest.mark.parametrize("eps", ["1e100000000", "1e3", "1,2E-1"])
+def test_eps_with_an_exponent_is_rejected_fast(capsys, eps):
+    # Fraction("1e10000000") alone takes seconds, and its value cannot be printed
+    start = time.perf_counter()
+    code, out, err = run(["spectrum", "--params", "2,0,1,1", "--p", "1", "--eps", eps], capsys)
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert f"invalid rational list {eps!r}" in err
+
+
+def test_eps_takes_integers_decimals_and_quotients():
+    assert cli._eps_type("2, -0.25,3/6") == (2, Fraction(-1, 4), Fraction(1, 2))
+
+
 def test_export_rejects_range(capsys):
     code, _, err = run(["export", "--params", "1,0,1,0", "--p", "1..2"], capsys)
     assert code == 2
@@ -331,14 +347,9 @@ def test_order_range_is_checked_at_its_top_first(monkeypatch, capsys, command):
     )
 
 
-@pytest.mark.parametrize("argv, total", [
-    (["dim", "--params", "0,0,0,0", "--p", "1..1000000000000"], 10**12),
-    (["dim", "--params", "0,0,1,1", "--p", "1..100000000000"], 4 * 10**11 - 1),
-    (["verify", "--params", "0,0,0,0", "--p", "1..100000000"], 10**8),
-    # top module 982,101 states, under the limit; 1,400 modules together are not
-    (["dim", "--params", "2,0,0,0", "--p", "1..1400"], 459295900),
-])
-def test_order_range_is_checked_by_its_summed_dimension(monkeypatch, capsys, argv, total):
+def _refused_before_any_work(monkeypatch, capsys, argv):
+    """Run ``argv`` with basis enumeration and the axiom sweep refused; it
+    must exit 2 within 1 s with nothing on stdout.  Returns stderr."""
     from zzsl import grading
 
     def refuse(*args):
@@ -352,11 +363,49 @@ def test_order_range_is_checked_by_its_summed_dimension(monkeypatch, capsys, arg
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
+    return err
+
+
+@pytest.mark.parametrize("argv, total", [
+    (["dim", "--params", "0,0,0,0", "--p", "1..1000000000000"], 10**12),
+    (["dim", "--params", "0,0,1,1", "--p", "1..100000000000"], 4 * 10**11 - 1),
+    (["verify", "--params", "0,0,0,0", "--p", "1..100000000"], 10**8),
+    # top module 982,101 states, under the limit; 1,400 modules together are not
+    (["dim", "--params", "2,0,0,0", "--p", "1..1400"], 459295900),
+])
+def test_order_range_is_checked_by_its_summed_dimension(monkeypatch, capsys, argv, total):
     params, p_range = argv[2], argv[4]
-    assert err == (
+    assert _refused_before_any_work(monkeypatch, capsys, argv) == (
         f"error: Fock modules of orders {p_range} for ({params.replace(',', ', ')}) have "
         f"{total} states in all, above the enumeration limit {fock.MAX_BASIS_DIMENSION}\n"
     )
+
+
+# Each state is stored as a tuple of m + n ints, so a range of many orbitals
+# can pass the state limit and still not fit: 100,001 states at width
+# 100,000 would store 10**10 entries.
+@pytest.mark.parametrize("argv, entries", [
+    (["dim", "--params", "400,0,0,0", "--p", "1..2"], 400 * (401 + 80601)),
+    (["dim", "--params", "800,0,0,0", "--p", "1..2"], 800 * (801 + 321201)),
+    (["verify", "--params", "100000,0,0,0", "--p", "1"], 100000 * 100001),
+])
+def test_order_range_is_checked_by_its_stored_entries(monkeypatch, capsys, argv, entries):
+    params, (lo, _, hi) = argv[2], argv[4].partition("..")
+    assert _refused_before_any_work(monkeypatch, capsys, argv) == (
+        f"error: Fock modules of orders {lo}..{hi or lo} for ({params.replace(',', ', ')}) "
+        f"store {entries} occupation entries in all, above the storage limit "
+        f"{16 * fock.MAX_BASIS_DIMENSION}\n"
+    )
+
+
+def test_stored_entry_limit_is_sixteen_times_the_state_limit(monkeypatch):
+    # (20, 0, 0, 0) at orders 1..2: 21 + 231 states of 20 entries each
+    params = fock.AlgebraParams(20, 0, 0, 0)
+    monkeypatch.setattr(fock, "MAX_BASIS_DIMENSION", 5040 // 16)
+    fock._check_order_range(params, 1, 2)
+    monkeypatch.setattr(fock, "MAX_BASIS_DIMENSION", 5040 // 16 - 1)
+    with pytest.raises(ValueError, match=" store 5040 occupation entries in all"):
+        fock._check_order_range(params, 1, 2)
 
 
 def test_range_limit_is_the_exact_sum_of_module_dimensions(monkeypatch):

@@ -5,6 +5,7 @@ name the package exports is listed by the module that defines it."""
 import ast
 import importlib
 import inspect
+import pathlib
 import pkgutil
 import sys
 
@@ -59,3 +60,13 @@ def test_the_runtime_imports_only_the_standard_library():
                 continue
             foreign += [f"{name}: {top}" for top in tops if top not in sys.stdlib_module_names]
     assert not foreign, f"imports outside the standard library: {foreign}"
+
+
+def test_the_sources_parse_as_python_3_10():
+    """``requires-python = ">=3.10"``: no package or test module uses syntax
+    from a later version, such as ``except*``."""
+    package, tests = pathlib.Path(zzsl.__file__).parent, pathlib.Path(__file__).parent
+    sources = [*package.glob("*.py"), *tests.glob("*.py")]
+    assert package / "cli.py" in sources and tests / "conftest.py" in sources
+    for path in sorted(sources):
+        ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))

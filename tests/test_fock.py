@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+from collections import deque
 from fractions import Fraction
 from math import factorial, prod
 
@@ -466,6 +467,48 @@ def test_spanning_rank_equals_dimension():
     for P, p in ((AlgebraParams(1, 1, 1, 1), 2), (AlgebraParams(0, 2, 1, 1), 3)):
         rank, dim = spanning_rank(P, p)
         assert rank == dim == dimension(P, p)
+
+
+def _reachable_states(params, p):
+    """Breadth-first search from the vacuum along the nonzero entries of the
+    unnormalized raising operators: how many states some product reaches."""
+    edges = {}
+    for op in ladder_operators(params, p, "unnormalized")[0]:
+        for i, j, _ in op.items():
+            edges.setdefault(j, []).append(i)
+    seen, queue = {0}, deque([0])
+    while queue:
+        for i in edges.get(queue.popleft(), ()):
+            if i not in seen:
+                seen.add(i)
+                queue.append(i)
+    return len(seen)
+
+
+def test_spanning_rank_counts_the_states_reachable_from_the_vacuum():
+    for P in small_sweep(4):
+        if max(P.as_tuple()) <= 2:
+            for p in range(1, 5):
+                assert spanning_rank(P, p)[0] == _reachable_states(P, p), (P, p)
+
+
+def _one_target(gid, params, p, kind, occ, R, term):
+    """Every raising term lands on the state with one quantum in orbital 1."""
+    if term is None or gid.sign != "+":
+        return term
+    return term[0], single_quantum_state(params, 1)
+
+
+@pytest.mark.parametrize("blocks", [(1, 1, 1, 1), (2, 0, 0, 1), (0, 1, 2, 0)])
+def test_spanning_rank_and_reachability_agree_under_a_raising_fault(monkeypatch, blocks):
+    monkeypatch.setattr(fock, "_ladder_rule", _faulty_rule(_one_target))
+    P, p = AlgebraParams(*blocks), 3
+    ladder_operators.cache_clear()
+    try:
+        rank, dim = spanning_rank(P, p)
+        assert rank == _reachable_states(P, p) == 2 < dim
+    finally:
+        ladder_operators.cache_clear()
 
 
 def test_order_one_matches_defining_matrices():

@@ -261,7 +261,10 @@ def test_rank_against_sympy(shape_and_rows):
     maps = [dict(enumerate(row)) for row in rows]  # zero entries included
     assert rational_rank(maps, cols) == expected
     space = RationalRowSpace(cols)
-    for row in maps:
-        space.add(row)
+    for k, row in enumerate(maps, start=1):
+        before = space.rank
+        grew = space.add(row)  # spanning_rank grows its frontier on this answer
+        assert space.rank == sympy.Matrix(rows[:k]).rank()
+        assert grew == (space.rank > before)
     for row in maps:
         assert _contains(space, row)

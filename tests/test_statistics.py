@@ -1,6 +1,8 @@
 """Statistics families, Hamiltonian, ladder relations, spectra, occupancy."""
 
 import dataclasses
+import hashlib
+import itertools
 from fractions import Fraction
 
 import pytest
@@ -22,6 +24,7 @@ from zzsl import (
     verify_representation,
 )
 from zzsl import fock
+from zzsl.statistics import _family_indices
 
 
 def test_families_pass_when_representation_passes():
@@ -73,6 +76,23 @@ def _family_order(family, P):
             for j in second:
                 order += [(i, j)] + [(i, j, k) for k in outer]
     return order
+
+
+# sha256 over repr(_family_indices(family, P)), in FAMILIES order for each
+# composition P with blocks <= 3 taken in itertools.product order, recorded
+# while the family index lists were still read off a table of named blocks.
+_FAMILY_ORDER_DIGEST = "e70998a8c4ee1c4b92957d0dcb7b6e43295faf4e62db7e8389843428ae69497e"
+
+
+def test_family_check_order_is_pinned():
+    digest = hashlib.sha256()
+    for blocks in itertools.product(range(4), repeat=4):
+        P = AlgebraParams(*blocks)
+        for family in FAMILIES:
+            indices = _family_indices(family, P)
+            assert indices == _family_order(family, P), (family, blocks)
+            digest.update(repr(indices).encode())
+    assert digest.hexdigest() == _FAMILY_ORDER_DIGEST
 
 
 def _planted(families, sign, factor, min_total):
