@@ -8,10 +8,9 @@ the verifier can double as an oracle for formula variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .grading import GRADES, AlgebraParams, Grade, GradedMatrix, graded_bracket
+from .grading import GRADES, AlgebraParams, Grade, GradedMatrix, _Frozen, graded_bracket
 from .reports import RelationFailure, RelationReport
 
 __all__ = [
@@ -33,18 +32,29 @@ __all__ = [
 FAMILY_NAMES = ("b", "bt", "f", "ft")
 
 
-@dataclass(frozen=True)
-class GeneratorId:
+class GeneratorId(_Frozen):
     """One ladder generator: operator index 1..m+n and a sign."""
 
-    index: int
-    sign: str
+    __slots__ = ("index", "sign")
 
-    def __post_init__(self) -> None:
-        if self.sign not in ("+", "-"):
-            raise ValueError(f"sign must be '+' or '-', got {self.sign!r}")
-        if type(self.index) is not int or self.index < 1:  # a bool is not an index
-            raise ValueError(f"generator index must be a positive integer, got {self.index!r}")
+    def __init__(self, index: int, sign: str) -> None:
+        if sign not in ("+", "-"):
+            raise ValueError(f"sign must be '+' or '-', got {sign!r}")
+        if type(index) is not int or index < 1:  # a bool is not an index
+            raise ValueError(f"generator index must be a positive integer, got {index!r}")
+        object.__setattr__(self, "index", index)
+        object.__setattr__(self, "sign", sign)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not GeneratorId:
+            return NotImplemented
+        return self.index == other.index and self.sign == other.sign
+
+    def __hash__(self) -> int:
+        return hash((self.index, self.sign))
+
+    def __repr__(self) -> str:
+        return f"GeneratorId(index={self.index!r}, sign={self.sign!r})"
 
     def check(self, params: AlgebraParams) -> None:
         if self.index > params.m + params.n:

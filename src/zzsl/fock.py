@@ -11,7 +11,6 @@ realizes the quotient by the invariant subspace.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, factorial, prod
 
@@ -24,7 +23,7 @@ from .algebra import (
     relation_report,
     sweep_indices,
 )
-from .grading import AlgebraParams, Grade
+from .grading import AlgebraParams, Grade, _Frozen
 from .linalg import RationalRowSpace, SparseMatrix
 from .radicals import RadicalSum, exact
 from .reports import (
@@ -67,8 +66,7 @@ def _check_kind(basis_kind: str) -> None:
         raise ValueError(f"basis_kind must be one of {BASIS_KINDS}, got {basis_kind!r}")
 
 
-@dataclass(frozen=True)
-class FTildeVariant:
+class FTildeVariant(_Frozen):
     """Which occupation slot the two f-tilde rules write to.
 
     The representation formulas are unambiguous except for the target kets of
@@ -86,13 +84,25 @@ class FTildeVariant:
     ``tests/``) pin the failure records that sign gives.
     """
 
-    plus_slot: str = "lambda"
-    minus_slot: str = "lambda"
+    __slots__ = ("plus_slot", "minus_slot")
 
-    def __post_init__(self) -> None:
-        for slot in (self.plus_slot, self.minus_slot):
+    def __init__(self, plus_slot: str = "lambda", minus_slot: str = "lambda") -> None:
+        for slot in (plus_slot, minus_slot):
             if slot not in ("lambda", "theta"):
                 raise ValueError(f"slot must be 'lambda' or 'theta', got {slot!r}")
+        object.__setattr__(self, "plus_slot", plus_slot)
+        object.__setattr__(self, "minus_slot", minus_slot)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not FTildeVariant:
+            return NotImplemented
+        return self.plus_slot == other.plus_slot and self.minus_slot == other.minus_slot
+
+    def __hash__(self) -> int:
+        return hash((self.plus_slot, self.minus_slot))
+
+    def __repr__(self) -> str:
+        return f"FTildeVariant(plus_slot={self.plus_slot!r}, minus_slot={self.minus_slot!r})"
 
     @property
     def label(self) -> str:

@@ -7,8 +7,6 @@ anticommutators are both special cases of one operation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .linalg import SparseMatrix
 from .radicals import RadicalSum
 from .reports import AxiomReport, CheckFailure
@@ -28,16 +26,40 @@ __all__ = [
 MAX_AXIOM_TRIPLES = 10**8
 
 
-@dataclass(frozen=True)
-class Grade:
-    """One of the four degrees (0,0), (1,1), (1,0), (0,1)."""
+class _Frozen:
+    """Base of the immutable value types.
 
-    a1: int
-    a2: int
+    A subclass sets its ``__slots__`` once, in ``__new__`` or ``__init__``,
+    through ``object.__setattr__``; any later assignment or deletion raises
+    ``AttributeError``.  Copies and pickles rebuild the value through its
+    constructor, from its slots in order.
+    """
 
-    def __post_init__(self) -> None:
-        if self.a1 not in (0, 1) or self.a2 not in (0, 1):
-            raise ValueError("grade components must be bits")
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class Grade(_Frozen):
+    """One of the four degrees (0,0), (1,1), (1,0), (0,1).
+
+    Each degree is one shared instance: ``Grade(a1, a2)`` looks it up.
+    """
+
+    __slots__ = ("a1", "a2")
+
+    def __new__(cls, a1: int, a2: int) -> "Grade":
+        try:
+            return _DEGREES[a1, a2]
+        except (KeyError, TypeError):
+            raise ValueError("grade components must be bits") from None
 
     def __add__(self, other: "Grade") -> "Grade":
         return Grade((self.a1 + other.a1) % 2, (self.a2 + other.a2) % 2)
@@ -52,27 +74,52 @@ class Grade:
     def as_tuple(self) -> tuple[int, int]:
         return (self.a1, self.a2)
 
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Grade:
+            return NotImplemented
+        return self is other
+
+    def __hash__(self) -> int:
+        return hash((self.a1, self.a2))
+
+    def __repr__(self) -> str:
+        return f"Grade(a1={self.a1}, a2={self.a2})"
+
     def __str__(self) -> str:
         return f"({self.a1},{self.a2})"
 
 
-GRADES: tuple[Grade, ...] = (Grade(0, 0), Grade(1, 1), Grade(1, 0), Grade(0, 1))
+_DEGREES: dict[tuple[int, int], Grade] = {}
+for _bits in ((0, 0), (1, 1), (1, 0), (0, 1)):
+    _DEGREES[_bits] = _degree = object.__new__(Grade)
+    object.__setattr__(_degree, "a1", _bits[0])
+    object.__setattr__(_degree, "a2", _bits[1])
+del _bits, _degree
+
+GRADES: tuple[Grade, ...] = tuple(_DEGREES.values())
 
 
-@dataclass(frozen=True)
-class AlgebraParams:
+class AlgebraParams(_Frozen):
     """Block sizes (m1+1, m2 | n1, n2) of the matrix realization."""
 
-    m1: int
-    m2: int
-    n1: int
-    n2: int
+    __slots__ = ("m1", "m2", "n1", "n2")
 
-    def __post_init__(self) -> None:
-        for name in ("m1", "m2", "n1", "n2"):
-            v = getattr(self, name)
+    def __init__(self, m1: int, m2: int, n1: int, n2: int) -> None:
+        for name, v in (("m1", m1), ("m2", m2), ("n1", n1), ("n2", n2)):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
+            object.__setattr__(self, name, v)
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not AlgebraParams:
+            return NotImplemented
+        return self is other or self.as_tuple() == other.as_tuple()
+
+    def __hash__(self) -> int:
+        return hash(self.as_tuple())
+
+    def __repr__(self) -> str:
+        return f"AlgebraParams(m1={self.m1}, m2={self.m2}, n1={self.n1}, n2={self.n2})"
 
     @property
     def m(self) -> int:
@@ -214,11 +261,30 @@ def axiom_report(params: AlgebraParams) -> AxiomReport:
 
     Checks, on every homogeneous basis pair, the symmetry identity, the
     grading of the bracket and the vanishing of the supertrace of brackets;
-    and the Jacobi identity on every basis triple.  ``_BracketTable`` gives
-    the units' brackets, then each unit's with each of those, on both sides;
-    each distinct Jacobi residual is formed once.  An algebra with more than
-    ``MAX_AXIOM_TRIPLES`` basis triples is rejected with ``ValueError``
-    before anything is built.
+    and on every basis triple x, y, z of degrees a, b, c the Jacobi identity
+    J(x,y,z) = [x,[y,z]] - [[x,y],z] - e(a,b)[y,[x,z]] = 0, where
+    e(a,b) = (-1)**(a.b).  An algebra with more than ``MAX_AXIOM_TRIPLES``
+    basis triples is rejected with ``ValueError`` before anything is built.
+
+    The units' brackets are computed once, into a table.  A passing sweep is
+    decided from the unit pairs x <= y and the sorted triples x <= y <= z
+    alone (in unit order).  This is exact because ``graded_bracket`` is
+    bilinear and e is a symmetric bicharacter, e(a,b) e(b,a) = 1 and
+    e(a+b,c) = e(a,c) e(b,c) (Scheunert, J. Math. Phys. 20, 1979):
+
+    * symmetry at (y,x) is e(a,b) times symmetry at (x,y); once it vanishes,
+      [y,x] = -e(a,b)[x,y] has the grading and supertrace of [x,y];
+    * with symmetry and grading on unit pairs, bilinearity gives
+      [u,z] = -e(a+b,c)[z,u] for u = [x,y], so J(x,y,z) equals
+      [x,[y,z]] + e(a+b,c)[z,[x,y]] - e(a,b)[y,[x,z]], whose outer brackets
+      are read from the table's memo, each with a unit on the left;
+    * the same facts give J(y,x,z) = -e(a,b)J(x,y,z) and
+      J(x,z,y) = -e(b,c)J(x,y,z); these two transpositions reach every
+      ordering, so J vanishes on all triples once it does on sorted ones.
+
+    If any of those checks fails, ``_full_axiom_sweep`` runs every pair and
+    triple; it is the only path that records failures.  Either way the
+    report counts the whole sweep: N**4 pairs and N**6 triples.
     """
     triples = params.size**6
     if triples > MAX_AXIOM_TRIPLES:
@@ -227,46 +293,97 @@ def axiom_report(params: AlgebraParams) -> AxiomReport:
             f"above the limit {MAX_AXIOM_TRIPLES}"
         )
     brackets = _BracketTable(params)
-    elements = brackets.elements
     units = [
         (i, j, brackets.intern(GradedMatrix.unit(params, i, j)),
          params.index_grade(i) + params.index_grade(j))
         for i in params.indices()
         for j in params.indices()
     ]
-    ids = [u for (_, _, u, _) in units]
-    table = [[brackets[ux, uy] for uy in ids] for ux in ids]
-    # every unit bracketed with every element of the table's image, both sides
-    image = dict.fromkeys(e for row in table for e in row)
-    left = [{e: brackets[ux, e] for e in image} for ux in ids]
-    right = {e: [brackets[e, uz] for uz in ids] for e in image}
+    table = [[brackets[ux, uy] for (_, _, uy, _) in units] for (_, _, ux, _) in units]
+    if not _sorted_sweep_passes(brackets, units, table):
+        return _full_axiom_sweep(params, brackets, units, table)
+    n = len(units)
+    return AxiomReport(params.as_tuple(), n * n, n**3)
 
-    # pair failures in pair order, then Jacobi failures in triple order
+
+def _pair_failures(
+    indices: tuple[int, ...], bxy: GradedMatrix, byx: GradedMatrix, a: Grade, b: Grade
+) -> list[CheckFailure]:
+    """Symmetry, grading and supertrace failures of the unit pair (x, y)."""
+    out = []
+    sym = bxy + byx if a.sign(b) == 1 else bxy - byx
+    if not sym.is_zero:
+        out.append(CheckFailure("symmetry", indices, sym.to_json()))
+    if not bxy.is_zero:
+        comps = bxy._components()
+        if len(comps) != 1 or comps[0][0] != a + b:
+            out.append(CheckFailure("grading", indices, bxy.to_json()))
+    st = bxy.supertrace()
+    if not st.is_zero:
+        out.append(CheckFailure("supertrace", indices, st.to_json()))
+    return out
+
+
+def _sorted_sweep_passes(brackets: _BracketTable, units: list, table: list) -> bool:
+    """Whether the pair checks pass on the unit pairs x <= y and the Jacobi
+    residual vanishes on the sorted triples x <= y <= z (see ``axiom_report``)."""
+    elements, n = brackets.elements, len(units)
+    for x, (i1, j1, _, a) in enumerate(units):
+        for y in range(x, n):
+            i2, j2, _, b = units[y]
+            bxy, byx = elements[table[x][y]], elements[table[y][x]]
+            if _pair_failures((i1, j1, i2, j2), bxy, byx, a, b):
+                return False
+    ids = [u for (_, _, u, _) in units]
+    # e(g, c) for every degree g and every unit z of degree c
+    eps = {g: [g.sign(c) for (_, _, _, c) in units] for g in GRADES}
+    # whether each distinct residual, keyed by its three bracket ids and two
+    # signs, vanishes; a zero bracket (id 0) brackets to zero and is skipped
+    residuals: dict[tuple[int, int, int, int, int], bool] = {}
+    for x, (_, _, ux, a) in enumerate(units):
+        row_x = table[x]
+        for y in range(x, n):
+            _, _, uy, b = units[y]
+            row_y, xy, sign, eps_xy = table[y], row_x[y], a.sign(b), eps[a + b]
+            for z in range(y, n):
+                # [x,[y,z]] + e(a+b,c) [z,[x,y]] - e(a,b) [y,[x,z]]
+                yz, xz = row_y[z], row_x[z]
+                t1 = brackets[ux, yz] if yz else 0
+                t2 = brackets[ids[z], xy] if xy else 0
+                t3 = brackets[uy, xz] if xz else 0
+                if t1 or t2 or t3:
+                    key = (t1, t2, t3, sign, eps_xy[z])
+                    zero = residuals.get(key)
+                    if zero is None:
+                        acc = dict(elements[t1]._entries)
+                        elements[t2]._add_into(acc, eps_xy[z])
+                        elements[t3]._add_into(acc, -sign)
+                        zero = residuals[key] = not acc
+                    if not zero:
+                        return False
+    return True
+
+
+def _full_axiom_sweep(
+    params: AlgebraParams, brackets: _BracketTable, units: list, table: list
+) -> AxiomReport:
+    """Every pair check and every Jacobi triple, each failure recorded: pair
+    failures in pair order, then Jacobi failures in triple order."""
+    elements = brackets.elements
     failures: list[CheckFailure] = []
     jacobi: list[CheckFailure] = []
     # each distinct residual, keyed by its three bracket ids and sign, with
     # whether it is zero
     residuals: dict[tuple[int, int, int, int], tuple[GradedMatrix, bool]] = {}
-    for x, (i1, j1, _, a) in enumerate(units):
-        row_x, left_x = table[x], left[x]
-        for y, (i2, j2, _, b) in enumerate(units):
-            sign = a.sign(b)
-            bxy, byx = elements[row_x[y]], elements[table[y][x]]
-            sym = bxy + byx if sign == 1 else bxy - byx
-            if not sym.is_zero:
-                failures.append(CheckFailure("symmetry", (i1, j1, i2, j2), sym.to_json()))
-            if not bxy.is_zero:
-                comps = bxy._components()
-                if len(comps) != 1 or comps[0][0] != a + b:
-                    failures.append(CheckFailure("grading", (i1, j1, i2, j2), bxy.to_json()))
-            st = bxy.supertrace()
-            if not st.is_zero:
-                failures.append(CheckFailure("supertrace", (i1, j1, i2, j2), st.to_json()))
-
-            left_y, right_xy = left[y], right[row_x[y]]
-            for (i3, j3, _, _), yz, t2, xz in zip(units, table[y], right_xy, row_x):
+    for x, (i1, j1, ux, a) in enumerate(units):
+        row_x = table[x]
+        for y, (i2, j2, uy, b) in enumerate(units):
+            xy, sign = row_x[y], a.sign(b)
+            bxy, byx = elements[xy], elements[table[y][x]]
+            failures += _pair_failures((i1, j1, i2, j2), bxy, byx, a, b)
+            for (i3, j3, uz, _), yz, xz in zip(units, table[y], row_x):
                 # [x,[y,z]] - [[x,y],z] - (-1)**(a.b) [y,[x,z]]
-                t1, t3 = left_x[yz], left_y[xz]
+                t1, t2, t3 = brackets[ux, yz], brackets[xy, uz], brackets[uy, xz]
                 if t1 or t2 or t3:
                     key = (t1, t2, t3, sign)
                     found = residuals.get(key)

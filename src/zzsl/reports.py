@@ -6,7 +6,6 @@ inspected, exported, and used to compare candidate formula variants.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Any
 
 __all__ = [
@@ -21,11 +20,11 @@ __all__ = [
 ]
 
 
-@dataclass
 class CheckFailure:
-    identity: str
-    indices: tuple[int, ...]
-    residual: Any = None
+    def __init__(self, identity: str, indices: tuple[int, ...], residual: Any = None) -> None:
+        self.identity = identity
+        self.indices = indices
+        self.residual = residual
 
     def to_json(self) -> dict:
         return {
@@ -35,14 +34,20 @@ class CheckFailure:
         }
 
 
-@dataclass
 class AxiomReport:
     """Outcome of the bracket-axiom sweep over a full matrix-unit basis."""
 
-    params: tuple[int, int, int, int]
-    pairs_checked: int
-    triples_checked: int
-    failures: list[CheckFailure] = field(default_factory=list)
+    def __init__(
+        self,
+        params: tuple[int, int, int, int],
+        pairs_checked: int,
+        triples_checked: int,
+        failures: list[CheckFailure] | None = None,
+    ) -> None:
+        self.params = params
+        self.pairs_checked = pairs_checked
+        self.triples_checked = triples_checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -57,11 +62,11 @@ class AxiomReport:
         }
 
 
-@dataclass
 class RelationFailure:
-    relation: str
-    indices: tuple[int, ...]
-    residual: Any = None
+    def __init__(self, relation: str, indices: tuple[int, ...], residual: Any = None) -> None:
+        self.relation = relation
+        self.indices = indices
+        self.residual = residual
 
     def to_json(self) -> dict:
         out: dict[str, Any] = {"relation": self.relation}
@@ -71,12 +76,18 @@ class RelationFailure:
         return out
 
 
-@dataclass
 class RelationReport:
-    params: tuple[int, int, int, int]
-    label: str
-    checked: int
-    failures: list[RelationFailure] = field(default_factory=list)
+    def __init__(
+        self,
+        params: tuple[int, int, int, int],
+        label: str,
+        checked: int,
+        failures: list[RelationFailure] | None = None,
+    ) -> None:
+        self.params = params
+        self.label = label
+        self.checked = checked
+        self.failures = [] if failures is None else failures
 
     @property
     def passed(self) -> bool:
@@ -96,14 +107,16 @@ class RelationReport:
         }
 
 
-@dataclass
 class RepresentationReport:
     """Bundle of suites: triple relations, vacuum conditions, adjointness, spanning."""
 
-    params: tuple[int, int, int, int]
-    p: int
-    variant: str
-    suites: list[RelationReport]
+    def __init__(
+        self, params: tuple[int, int, int, int], p: int, variant: str, suites: list[RelationReport]
+    ) -> None:
+        self.params = params
+        self.p = p
+        self.variant = variant
+        self.suites = suites
 
     @property
     def passed(self) -> bool:
@@ -135,11 +148,11 @@ class RepresentationReport:
         }
 
 
-@dataclass
 class VariantOutcome:
-    variant: str
-    passed: bool
-    relation_failure: dict | None = None
+    def __init__(self, variant: str, passed: bool, relation_failure: dict | None = None) -> None:
+        self.variant = variant
+        self.passed = passed
+        self.relation_failure = relation_failure
 
     def to_json(self) -> dict:
         return {
@@ -149,13 +162,15 @@ class VariantOutcome:
         }
 
 
-@dataclass
 class DiscriminationReport:
     """Verification outcome for each slot variant of the f-tilde action rules."""
 
-    params: tuple[int, int, int, int]
-    p: int
-    outcomes: list[VariantOutcome]
+    def __init__(
+        self, params: tuple[int, int, int, int], p: int, outcomes: list[VariantOutcome]
+    ) -> None:
+        self.params = params
+        self.p = p
+        self.outcomes = outcomes
 
     def outcome(self, variant_label: str) -> VariantOutcome:
         for o in self.outcomes:
@@ -177,16 +192,26 @@ class DiscriminationReport:
         }
 
 
-@dataclass
 class OccupancyReport:
-    params: tuple[int, int, int, int]
-    p: int
-    dimension: int
-    max_r: list[int]
-    max_l: list[int]
-    max_theta: list[int]
-    max_lam: list[int]
-    max_total: int
+    def __init__(
+        self,
+        params: tuple[int, int, int, int],
+        p: int,
+        dimension: int,
+        max_r: list[int],
+        max_l: list[int],
+        max_theta: list[int],
+        max_lam: list[int],
+        max_total: int,
+    ) -> None:
+        self.params = params
+        self.p = p
+        self.dimension = dimension
+        self.max_r = max_r
+        self.max_l = max_l
+        self.max_theta = max_theta
+        self.max_lam = max_lam
+        self.max_total = max_total
 
     def to_json(self) -> dict:
         return {

@@ -7,6 +7,7 @@ import importlib
 import inspect
 import pathlib
 import pkgutil
+import subprocess
 import sys
 
 import pytest
@@ -70,3 +71,17 @@ def test_the_sources_parse_as_python_3_10():
     assert package / "cli.py" in sources and tests / "conftest.py" in sources
     for path in sorted(sources):
         ast.parse(path.read_text(encoding="utf-8"), str(path), feature_version=(3, 10))
+
+
+def test_importing_the_package_and_its_cli_loads_neither_dataclasses_nor_inspect():
+    """Startup: ``import zzsl, zzsl.cli`` in a fresh isolated interpreter
+    imports neither module, which together made up most of the import time."""
+    src = str(pathlib.Path(zzsl.__file__).resolve().parent.parent)
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); import zzsl, zzsl.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-I", "-c", code], capture_output=True, text=True, timeout=60, check=True
+    )
+    assert done.stdout.strip() == "[]"

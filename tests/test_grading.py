@@ -1,9 +1,12 @@
 """Degree arithmetic, graded brackets, supertrace and the bracket axioms."""
 
+import copy
 import hashlib
 import itertools
 import json
+import pickle
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -14,6 +17,8 @@ from zzsl import grading
 from zzsl import (
     GRADES,
     AlgebraParams,
+    FTildeVariant,
+    GeneratorId,
     Grade,
     GradedMatrix,
     RadicalSum,
@@ -23,6 +28,7 @@ from zzsl import (
     matrix_unit,
 )
 from zzsl.fock import BASIS_KINDS
+from zzsl.reports import AxiomReport, RelationReport, VariantOutcome
 
 from graded import homogeneous_grade
 
@@ -389,9 +395,10 @@ def test_a_second_component_after_the_right_grade_fails_the_grading_check(monkey
     assert ("grading", (0, 1, 1, 0)) in {(f.identity, f.indices) for f in report.failures}
 
 
-# graded_bracket calls of one axiom sweep: the units' brackets, then each
-# unit's with each of those on both sides, every distinct pair once
-_AXIOM_BRACKET_COUNTS = {(1, 1, 1, 1): 2375, (4, 0, 0, 0): 2675, (2, 1, 2, 1): 9555}
+# graded_bracket calls of one passing axiom sweep: the units' brackets, then
+# the outer brackets [unit, nonzero bracket] of the sorted Jacobi triples,
+# every distinct pair once
+_AXIOM_BRACKET_COUNTS = {(1, 1, 1, 1): 1225, (4, 0, 0, 0): 1275, (2, 1, 2, 1): 4998}
 
 
 def test_the_axiom_sweep_brackets_each_distinct_pair_once(monkeypatch):
@@ -408,6 +415,56 @@ def test_the_axiom_sweep_brackets_each_distinct_pair_once(monkeypatch):
         assert calls[0] == count, blocks
 
 
+def _full_sweep_json(P):
+    """``axiom_report(P).to_json()`` with the sorted-triple sweep declined."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grading, "_sorted_sweep_passes", lambda *args: False)
+        return axiom_report(P).to_json()
+
+
+def test_sorted_triples_report_what_the_full_sweep_reports(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the full sweep was run")
+
+    points = [
+        blocks
+        for total in range(5)
+        for blocks in itertools.product(range(total + 1), repeat=4)
+        if sum(blocks) == total
+    ]
+    assert len(points) == 70
+    for blocks in [*points, (2, 1, 2, 1)]:
+        P = AlgebraParams(*blocks)
+        with monkeypatch.context() as mp:
+            mp.setattr(grading, "_full_axiom_sweep", refuse)
+            sorted_only = axiom_report(P).to_json()
+        assert sorted_only == _full_sweep_json(P), blocks
+
+
+def test_a_planted_antisymmetry_fault_runs_the_full_sweep_and_names_its_pair(monkeypatch):
+    # [e_10, e_01] doubled: the sorted sweep meets this bracket only as the
+    # transposed entry of the pair (e_01, e_10)
+    P = AlgebraParams(1, 1, 1, 1)
+    honest, full, runs = grading.graded_bracket, grading._full_axiom_sweep, []
+    e10, e01 = matrix_unit(1, 0, P), matrix_unit(0, 1, P)
+
+    def planted(x, y):
+        out = honest(x, y)
+        return out * 2 if (x, y) == (e10, e01) else out
+
+    def counted(*args):
+        runs.append(args)
+        return full(*args)
+
+    monkeypatch.setattr(grading, "graded_bracket", planted)
+    monkeypatch.setattr(grading, "_full_axiom_sweep", counted)
+    report = axiom_report(P)
+    assert len(runs) == 1
+    symmetry = [f.indices for f in report.failures if f.identity == "symmetry"]
+    assert symmetry == [(0, 1, 1, 0), (1, 0, 0, 1)]
+    assert report.to_json() == _full_sweep_json(P)
+
+
 def test_axiom_sweep_size_guard(monkeypatch):
     def refuse(*args):
         raise AssertionError("the axiom sweep was started")
@@ -418,6 +475,64 @@ def test_axiom_sweep_size_guard(monkeypatch):
     assert P.size == 22
     with pytest.raises(ValueError, match=f"{22**6} Jacobi triples"):
         axiom_report(P)
+
+
+# (type, fields, a value, another value, [(invalid args, ValueError message)])
+_VALUE_TYPES = [
+    (Grade, ("a1", "a2"), (1, 0), (0, 1), [
+        ((2, 0), "grade components must be bits"),
+        (([1], 0), "grade components must be bits"),
+    ]),
+    (AlgebraParams, ("m1", "m2", "n1", "n2"), (1, 0, 1, 1), (1, 1, 0, 1), [
+        ((1, -1, 0, 0), "m2 must be a nonnegative integer, got -1"),
+        ((True, 0, 0, 0), "m1 must be a nonnegative integer, got True"),
+        ((0, 0, 0, 1.0), "n2 must be a nonnegative integer, got 1.0"),
+    ]),
+    (GeneratorId, ("index", "sign"), (2, "+"), (2, "-"), [
+        ((1, "x"), "sign must be '+' or '-', got 'x'"),
+        ((True, "+"), "generator index must be a positive integer, got True"),
+        ((0, "-"), "generator index must be a positive integer, got 0"),
+    ]),
+    (FTildeVariant, ("plus_slot", "minus_slot"), ("lambda", "theta"), ("theta", "lambda"), [
+        (("lambda", "mu"), "slot must be 'lambda' or 'theta', got 'mu'"),
+    ]),
+]
+
+
+@pytest.mark.parametrize("cls, fields, args, other, invalid", _VALUE_TYPES)
+def test_value_types_compare_hash_and_refuse_assignment(cls, fields, args, other, invalid):
+    value = cls(*args)
+    same = cls(**dict(zip(fields, args)))
+    assert value == same and hash(value) == hash(same)
+    assert value != cls(*other) and len({value, same, cls(*other)}) == 2
+    # hashed as the tuple of its fields, yet not equal to that tuple
+    assert hash(value) == hash(args) and value != args
+    assert tuple(getattr(value, name) for name in fields) == args
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(value, name, getattr(value, name))
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+    assert copy.deepcopy(value) == value and pickle.loads(pickle.dumps(value)) == value
+    for bad, message in invalid:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            cls(*bad)
+
+
+def test_value_type_defaults_and_shared_degrees():
+    assert FTildeVariant() == FTildeVariant("lambda", "lambda")
+    assert Grade(1, 0) is Grade(1, 0) is GRADES[2]
+    assert [str(g) for g in GRADES] == ["(0,0)", "(1,1)", "(1,0)", "(0,1)"]
+
+
+def test_reports_take_a_fresh_failure_list_by_default():
+    first, second = AxiomReport((0, 0, 0, 0), 1, 1), AxiomReport((0, 0, 0, 0), 1, 1)
+    first.failures.append("x")
+    assert second.failures == [] and second.passed
+    one, two = RelationReport((0, 0, 0, 0), "s", 0), RelationReport((0, 0, 0, 0), "s", 0)
+    one.failures.append("x")
+    assert two.failures == [] and two.vacuous
+    assert VariantOutcome("v", True).relation_failure is None
 
 
 def test_matrix_json_row_major_nonzero():

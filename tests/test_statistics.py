@@ -1,6 +1,5 @@
 """Statistics families, Hamiltonian, ladder relations, spectra, occupancy."""
 
-import dataclasses
 import hashlib
 import itertools
 from fractions import Fraction
@@ -24,6 +23,7 @@ from zzsl import (
     verify_representation,
 )
 from zzsl import fock
+from zzsl.reports import RepresentationReport
 from zzsl.statistics import _family_indices
 
 
@@ -161,7 +161,8 @@ def test_family_view_rejects_a_foreign_report():
         relation_suite("A-stat", P, 1, representation=rep)
     with pytest.raises(ValueError):
         relation_suite("A-stat", AlgebraParams(1, 0, 1, 0), 2, representation=rep)
-    variant = dataclasses.replace(rep, variant=FTildeVariant("lambda", "theta").label)
+    label = FTildeVariant("lambda", "theta").label
+    variant = RepresentationReport(rep.params, rep.p, label, rep.suites)
     with pytest.raises(ValueError):
         relation_suite("MixA1", P, 2, representation=variant)
     # a family reads the orthonormal sweep only, and a report only by keyword
