@@ -7,11 +7,12 @@ formulas, adjointness, statistics families, Hamiltonian ladder relations,
 exclusion bound) with exact radical arithmetic.
 """
 
+import types
+
 from .algebra import (
     GeneratorId,
     generator_ids,
     generator_matrix,
-    matrix_unit,
     verify_defining_relations,
 )
 from .fock import (
@@ -54,42 +55,10 @@ from .statistics import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AlgebraParams",
-    "BASIS_KINDS",
-    "FAMILIES",
-    "FT_CORRECTED",
-    "FTildeVariant",
-    "FockBasis",
-    "GRADES",
-    "GeneratorId",
-    "Grade",
-    "GradedMatrix",
-    "HAMILTONIAN_READINGS",
-    "RadicalSum",
-    "RationalRowSpace",
-    "SparseOperator",
-    "axiom_report",
-    "closed_form_dimension",
-    "dimension",
-    "enumerate_basis",
-    "ft_variant_discrimination",
-    "ft_variants",
-    "generator_ids",
-    "generator_matrix",
-    "graded_bracket",
-    "hamiltonian",
-    "ladder_operators",
-    "ladder_residual",
-    "matrix_unit",
-    "normalize_radical",
-    "occupancy_report",
-    "operator_matrix",
-    "order_one_defining_comparison",
-    "relation_suite",
-    "single_quantum_state",
-    "spanning_rank",
-    "spectrum",
-    "verify_defining_relations",
-    "verify_representation",
-]
+# The export list is the imports above: every public name bound here that is
+# not a submodule.
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, types.ModuleType)
+)

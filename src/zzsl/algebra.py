@@ -1,4 +1,4 @@
-"""Matrix units, creation/annihilation generators and their triple relations.
+"""Creation/annihilation generators and their triple relations.
 
 The generators are the matrix units of the distinguished row and column:
 raising is e(i,0), lowering is e(0,i).  The defining triple relations are
@@ -16,7 +16,6 @@ from .reports import RelationFailure, RelationReport
 __all__ = [
     "GeneratorId",
     "generator_ids",
-    "matrix_unit",
     "generator_matrix",
     "rel2_terms",
     "rel3_terms",
@@ -44,17 +43,6 @@ class GeneratorId(_Frozen):
             raise ValueError(f"generator index must be a positive integer, got {index!r}")
         object.__setattr__(self, "index", index)
         object.__setattr__(self, "sign", sign)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not GeneratorId:
-            return NotImplemented
-        return self.index == other.index and self.sign == other.sign
-
-    def __hash__(self) -> int:
-        return hash((self.index, self.sign))
-
-    def __repr__(self) -> str:
-        return f"GeneratorId(index={self.index!r}, sign={self.sign!r})"
 
     def check(self, params: AlgebraParams) -> None:
         if self.index > params.m + params.n:
@@ -90,11 +78,6 @@ def generator_ids(params: AlgebraParams) -> tuple[GeneratorId, ...]:
         out.append(GeneratorId(i, "+"))
         out.append(GeneratorId(i, "-"))
     return tuple(out)
-
-
-def matrix_unit(i: int, j: int, params: AlgebraParams) -> GradedMatrix:
-    """Matrix with 1 in row i, column j; homogeneous of grade d_i + d_j."""
-    return GradedMatrix.unit(params, i, j)
 
 
 def generator_matrix(gid: GeneratorId, params: AlgebraParams) -> GradedMatrix:

@@ -315,7 +315,7 @@ def _cmd_occupancy(ns: argparse.Namespace) -> int:
             f"max r:      {report.max_r}",
             f"max l:      {report.max_l}",
             f"max theta:  {report.max_theta}",
-            f"max lambda: {report.max_lam}",
+            f"max lambda: {report.max_lambda}",
             f"max total:  {report.max_total} (order p={p})",
         ]
         _emit("\n".join(lines) + "\n", ns.output)

@@ -93,17 +93,6 @@ class FTildeVariant(_Frozen):
         object.__setattr__(self, "plus_slot", plus_slot)
         object.__setattr__(self, "minus_slot", minus_slot)
 
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not FTildeVariant:
-            return NotImplemented
-        return self.plus_slot == other.plus_slot and self.minus_slot == other.minus_slot
-
-    def __hash__(self) -> int:
-        return hash((self.plus_slot, self.minus_slot))
-
-    def __repr__(self) -> str:
-        return f"FTildeVariant(plus_slot={self.plus_slot!r}, minus_slot={self.minus_slot!r})"
-
     @property
     def label(self) -> str:
         return f"ft+->{self.plus_slot},ft-->{self.minus_slot}"

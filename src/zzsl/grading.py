@@ -31,11 +31,28 @@ class _Frozen:
 
     A subclass sets its ``__slots__`` once, in ``__new__`` or ``__init__``,
     through ``object.__setattr__``; any later assignment or deletion raises
-    ``AttributeError``.  Copies and pickles rebuild the value through its
-    constructor, from its slots in order.
+    ``AttributeError``.  Its fields are its slots, in order: a value equals
+    only a value of its own class with equal fields, hashes as its field
+    tuple and prints as ``Name(field=value, ...)``.  Copies and pickles
+    rebuild it through its constructor, from that tuple.
     """
 
     __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__slots__])
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -44,7 +61,7 @@ class _Frozen:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+        return type(self), self._fields()
 
 
 class Grade(_Frozen):
@@ -82,9 +99,6 @@ class Grade(_Frozen):
     def __hash__(self) -> int:
         return hash((self.a1, self.a2))
 
-    def __repr__(self) -> str:
-        return f"Grade(a1={self.a1}, a2={self.a2})"
-
     def __str__(self) -> str:
         return f"({self.a1},{self.a2})"
 
@@ -109,17 +123,6 @@ class AlgebraParams(_Frozen):
             if not isinstance(v, int) or isinstance(v, bool) or v < 0:
                 raise ValueError(f"{name} must be a nonnegative integer, got {v!r}")
             object.__setattr__(self, name, v)
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not AlgebraParams:
-            return NotImplemented
-        return self is other or self.as_tuple() == other.as_tuple()
-
-    def __hash__(self) -> int:
-        return hash(self.as_tuple())
-
-    def __repr__(self) -> str:
-        return f"AlgebraParams(m1={self.m1}, m2={self.m2}, n1={self.n1}, n2={self.n2})"
 
     @property
     def m(self) -> int:

@@ -20,22 +20,35 @@ __all__ = [
 ]
 
 
-class CheckFailure:
+def _plain(value: Any) -> Any:
+    """``value`` as JSON data: tuples become lists, reports their ``to_json()``."""
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value.to_json() if hasattr(value, "to_json") else value
+
+
+class _Report:
+    """A report whose JSON object holds the attributes named in ``_keys``, in order."""
+
+    _keys: tuple[str, ...] = ()
+
+    def to_json(self) -> dict:
+        return {key: _plain(getattr(self, key)) for key in self._keys}
+
+
+class CheckFailure(_Report):
+    _keys = ("identity", "indices", "residual")
+
     def __init__(self, identity: str, indices: tuple[int, ...], residual: Any = None) -> None:
         self.identity = identity
         self.indices = indices
         self.residual = residual
 
-    def to_json(self) -> dict:
-        return {
-            "identity": self.identity,
-            "indices": list(self.indices),
-            "residual": self.residual,
-        }
 
-
-class AxiomReport:
+class AxiomReport(_Report):
     """Outcome of the bracket-axiom sweep over a full matrix-unit basis."""
+
+    _keys = ("params", "pairs_checked", "triples_checked", "failures")
 
     def __init__(
         self,
@@ -53,14 +66,6 @@ class AxiomReport:
     def passed(self) -> bool:
         return not self.failures
 
-    def to_json(self) -> dict:
-        return {
-            "params": list(self.params),
-            "pairs_checked": self.pairs_checked,
-            "triples_checked": self.triples_checked,
-            "failures": [f.to_json() for f in self.failures],
-        }
-
 
 class RelationFailure:
     def __init__(self, relation: str, indices: tuple[int, ...], residual: Any = None) -> None:
@@ -76,7 +81,9 @@ class RelationFailure:
         return out
 
 
-class RelationReport:
+class RelationReport(_Report):
+    _keys = ("params", "label", "checked", "vacuous", "failures")
+
     def __init__(
         self,
         params: tuple[int, int, int, int],
@@ -97,18 +104,11 @@ class RelationReport:
     def vacuous(self) -> bool:
         return self.checked == 0
 
-    def to_json(self) -> dict:
-        return {
-            "params": list(self.params),
-            "label": self.label,
-            "checked": self.checked,
-            "vacuous": self.vacuous,
-            "failures": [f.to_json() for f in self.failures],
-        }
 
-
-class RepresentationReport:
+class RepresentationReport(_Report):
     """Bundle of suites: triple relations, vacuum conditions, adjointness, spanning."""
+
+    _keys = ("params", "p", "variant", "passed", "suites")
 
     def __init__(
         self, params: tuple[int, int, int, int], p: int, variant: str, suites: list[RelationReport]
@@ -138,32 +138,20 @@ class RepresentationReport:
                         return s.label, f
         return None
 
-    def to_json(self) -> dict:
-        return {
-            "params": list(self.params),
-            "p": self.p,
-            "variant": self.variant,
-            "passed": self.passed,
-            "suites": [s.to_json() for s in self.suites],
-        }
 
+class VariantOutcome(_Report):
+    _keys = ("variant", "passed", "relation_failure")
 
-class VariantOutcome:
     def __init__(self, variant: str, passed: bool, relation_failure: dict | None = None) -> None:
         self.variant = variant
         self.passed = passed
         self.relation_failure = relation_failure
 
-    def to_json(self) -> dict:
-        return {
-            "variant": self.variant,
-            "passed": self.passed,
-            "relation_failure": self.relation_failure,
-        }
 
-
-class DiscriminationReport:
+class DiscriminationReport(_Report):
     """Verification outcome for each slot variant of the f-tilde action rules."""
+
+    _keys = ("params", "p", "corrected_only_passes", "outcomes")
 
     def __init__(
         self, params: tuple[int, int, int, int], p: int, outcomes: list[VariantOutcome]
@@ -183,16 +171,10 @@ class DiscriminationReport:
         flags = [o.passed for o in self.outcomes]
         return flags[0] and not any(flags[1:])
 
-    def to_json(self) -> dict:
-        return {
-            "params": list(self.params),
-            "p": self.p,
-            "corrected_only_passes": self.corrected_only_passes,
-            "outcomes": [o.to_json() for o in self.outcomes],
-        }
 
+class OccupancyReport(_Report):
+    _keys = ("params", "p", "dimension", "max_r", "max_l", "max_theta", "max_lambda", "max_total")
 
-class OccupancyReport:
     def __init__(
         self,
         params: tuple[int, int, int, int],
@@ -201,7 +183,7 @@ class OccupancyReport:
         max_r: list[int],
         max_l: list[int],
         max_theta: list[int],
-        max_lam: list[int],
+        max_lambda: list[int],
         max_total: int,
     ) -> None:
         self.params = params
@@ -210,17 +192,5 @@ class OccupancyReport:
         self.max_r = max_r
         self.max_l = max_l
         self.max_theta = max_theta
-        self.max_lam = max_lam
+        self.max_lambda = max_lambda
         self.max_total = max_total
-
-    def to_json(self) -> dict:
-        return {
-            "params": list(self.params),
-            "p": self.p,
-            "dimension": self.dimension,
-            "max_r": self.max_r,
-            "max_l": self.max_l,
-            "max_theta": self.max_theta,
-            "max_lambda": self.max_lam,
-            "max_total": self.max_total,
-        }

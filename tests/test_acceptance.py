@@ -200,7 +200,7 @@ def test_criterion_9_pauli_principle():
         # bosonic orbitals are capped only by the order p; fermionic ones by 1
         if any(v != p for v in report.max_r + report.max_l):
             failures.append((params.as_tuple(), p, "bosonic maxima"))
-        if any(v != 1 for v in report.max_theta + report.max_lam):
+        if any(v != 1 for v in report.max_theta + report.max_lambda):
             failures.append((params.as_tuple(), p, "fermionic maxima"))
         achievable = p if params.m >= 1 else min(p, params.n)
         if report.max_total != achievable:

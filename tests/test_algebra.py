@@ -11,7 +11,6 @@ from zzsl import (
     generator_ids,
     generator_matrix,
     graded_bracket,
-    matrix_unit,
     verify_defining_relations,
     verify_representation,
 )
@@ -21,19 +20,19 @@ from graded import homogeneous_grade
 
 
 def test_matrix_unit_grades():
-    assert homogeneous_grade(matrix_unit(0, 0, AlgebraParams(1, 1, 1, 1))) == Grade(0, 0)
+    assert homogeneous_grade(GradedMatrix.unit(AlgebraParams(1, 1, 1, 1), 0, 0)) == Grade(0, 0)
     P = AlgebraParams(1, 1, 1, 1)
-    assert homogeneous_grade(matrix_unit(1, 3, P)) == Grade(1, 0)
+    assert homogeneous_grade(GradedMatrix.unit(P, 1, 3)) == Grade(1, 0)
     Q = AlgebraParams(0, 1, 0, 1)
-    assert homogeneous_grade(matrix_unit(1, 2, Q)) == Grade(1, 0)
+    assert homogeneous_grade(GradedMatrix.unit(Q, 1, 2)) == Grade(1, 0)
     with pytest.raises(ValueError):
-        matrix_unit(0, 9, P)
+        GradedMatrix.unit(P, 0, 9)
 
 
 def test_generator_matrices():
     P = AlgebraParams(1, 1, 1, 1)
-    assert generator_matrix(GeneratorId(1, "+"), P) == matrix_unit(1, 0, P)
-    assert generator_matrix(GeneratorId(1, "-"), P) == matrix_unit(0, 1, P)
+    assert generator_matrix(GeneratorId(1, "+"), P) == GradedMatrix.unit(P, 1, 0)
+    assert generator_matrix(GeneratorId(1, "-"), P) == GradedMatrix.unit(P, 0, 1)
     with pytest.raises(ValueError):
         generator_matrix(GeneratorId(5, "+"), P)
     with pytest.raises(ValueError):
@@ -62,7 +61,7 @@ def test_bracket_of_raising_lowering_gives_unit():
                 generator_matrix(GeneratorId(i, "+"), P),
                 generator_matrix(GeneratorId(j, "-"), P),
             )
-            assert lhs == matrix_unit(i, j, P)
+            assert lhs == GradedMatrix.unit(P, i, j)
 
 
 def test_unit_bracket_structure_constants():
@@ -71,16 +70,16 @@ def test_unit_bracket_structure_constants():
         for i in P.indices():
             for j in P.indices():
                 dij = P.index_grade(i) + P.index_grade(j)
-                eij = matrix_unit(i, j, P)
+                eij = GradedMatrix.unit(P, i, j)
                 for k in P.indices():
                     for l in P.indices():
                         dkl = P.index_grade(k) + P.index_grade(l)
-                        got = graded_bracket(eij, matrix_unit(k, l, P))
+                        got = graded_bracket(eij, GradedMatrix.unit(P, k, l))
                         expected = GradedMatrix.zero(P)
                         if j == k:
-                            expected = expected + matrix_unit(i, l, P)
+                            expected = expected + GradedMatrix.unit(P, i, l)
                         if i == l:
-                            expected = expected - matrix_unit(k, j, P) * dij.sign(dkl)
+                            expected = expected - GradedMatrix.unit(P, k, j) * dij.sign(dkl)
                         assert got == expected, (i, j, k, l)
 
 
@@ -111,12 +110,15 @@ def sl_basis(params):
     e(0,0) - (-1)**(d_i.d_i) e(i,i) for i = 1..m+n.  Size is N**2 - 1.
     """
     mats = [
-        matrix_unit(i, j, params) for i in params.indices() for j in params.indices() if i != j
+        GradedMatrix.unit(params, i, j)
+        for i in params.indices()
+        for j in params.indices()
+        if i != j
     ]
-    e00 = matrix_unit(0, 0, params)
+    e00 = GradedMatrix.unit(params, 0, 0)
     for i in params.operator_indices():
         d = params.index_grade(i)
-        mats.append(e00 - matrix_unit(i, i, params) * (1 if d.dot(d) == 0 else -1))
+        mats.append(e00 - GradedMatrix.unit(params, i, i) * (1 if d.dot(d) == 0 else -1))
     return mats
 
 

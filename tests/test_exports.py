@@ -9,6 +9,7 @@ import pathlib
 import pkgutil
 import subprocess
 import sys
+import types
 
 import pytest
 
@@ -35,6 +36,24 @@ def _defined_names(module):
         elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
             names.add(node.target.id)
     return names
+
+
+_EXPORTS = [
+    "AlgebraParams", "BASIS_KINDS", "FAMILIES", "FT_CORRECTED", "FTildeVariant", "FockBasis",
+    "GRADES", "GeneratorId", "Grade", "GradedMatrix", "HAMILTONIAN_READINGS", "RadicalSum",
+    "RationalRowSpace", "SparseOperator", "axiom_report", "closed_form_dimension", "dimension",
+    "enumerate_basis", "ft_variant_discrimination", "ft_variants", "generator_ids",
+    "generator_matrix", "graded_bracket", "hamiltonian", "ladder_operators", "ladder_residual",
+    "normalize_radical", "occupancy_report", "operator_matrix", "order_one_defining_comparison",
+    "relation_suite", "single_quantum_state", "spanning_rank", "spectrum",
+    "verify_defining_relations", "verify_representation",
+]
+
+
+def test_the_package_exports_its_api_and_no_submodule():
+    assert sorted(zzsl.__all__) == _EXPORTS
+    assert not [name for name in zzsl.__all__ if isinstance(getattr(zzsl, name), types.ModuleType)]
+    assert not set(zzsl.__all__) & {name.split(".")[1] for name in _MODULES}
 
 
 def test_every_package_export_is_listed_where_it_is_defined():

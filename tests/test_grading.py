@@ -25,10 +25,15 @@ from zzsl import (
     axiom_report,
     graded_bracket,
     ladder_operators,
-    matrix_unit,
 )
 from zzsl.fock import BASIS_KINDS
-from zzsl.reports import AxiomReport, RelationReport, VariantOutcome
+from zzsl.reports import (
+    AxiomReport,
+    CheckFailure,
+    DiscriminationReport,
+    RelationReport,
+    VariantOutcome,
+)
 
 from graded import homogeneous_grade
 
@@ -127,13 +132,13 @@ def test_decompose_zero_and_identity():
 
 def test_decompose_unit_and_sum():
     P = AlgebraParams(1, 0, 1, 0)
-    e02 = matrix_unit(0, 2, P)
+    e02 = GradedMatrix.unit(P, 0, 2)
     parts = _decompose(e02)
     assert parts[Grade(1, 0)] == e02
     _assert_components_match(e02)
     assert homogeneous_grade(e02) == Grade(1, 0)
 
-    mixed = e02 + matrix_unit(1, 1, P)
+    mixed = e02 + GradedMatrix.unit(P, 1, 1)
     parts = _decompose(mixed)
     total = GradedMatrix.zero(P)
     for part in parts.values():
@@ -147,45 +152,45 @@ def test_decompose_unit_and_sum():
 
 def test_bracket_matches_annihilation_creation_formula():
     P = AlgebraParams(1, 1, 1, 1)
-    e00 = matrix_unit(0, 0, P)
+    e00 = GradedMatrix.unit(P, 0, 0)
     for k in range(1, 5):
         d = P.index_grade(k)
-        lhs = graded_bracket(matrix_unit(0, k, P), matrix_unit(k, 0, P))
-        rhs = e00 - matrix_unit(k, k, P) * (1 if d.dot(d) == 0 else -1)
+        lhs = graded_bracket(GradedMatrix.unit(P, 0, k), GradedMatrix.unit(P, k, 0))
+        rhs = e00 - GradedMatrix.unit(P, k, k) * (1 if d.dot(d) == 0 else -1)
         assert lhs == rhs
 
 
 def test_bracket_even_self_commutes():
     P = AlgebraParams(1, 1, 0, 0)
-    x = matrix_unit(0, 1, P) + matrix_unit(1, 0, P)
+    x = GradedMatrix.unit(P, 0, 1) + GradedMatrix.unit(P, 1, 0)
     assert homogeneous_grade(x) == Grade(0, 0)
     assert graded_bracket(x, x).is_zero
 
 
 def test_bracket_anticommutator_case():
     P = AlgebraParams(1, 0, 1, 0)
-    lhs = graded_bracket(matrix_unit(2, 0, P), matrix_unit(0, 2, P))
-    assert lhs == matrix_unit(2, 2, P) + matrix_unit(0, 0, P)
+    lhs = graded_bracket(GradedMatrix.unit(P, 2, 0), GradedMatrix.unit(P, 0, 2))
+    assert lhs == GradedMatrix.unit(P, 2, 2) + GradedMatrix.unit(P, 0, 0)
 
 
 def test_bracket_dimension_mismatch():
     with pytest.raises(ValueError):
         graded_bracket(
-            matrix_unit(0, 0, AlgebraParams(1, 0, 0, 0)),
-            matrix_unit(0, 0, AlgebraParams(0, 1, 0, 0)),
+            GradedMatrix.unit(AlgebraParams(1, 0, 0, 0), 0, 0),
+            GradedMatrix.unit(AlgebraParams(0, 1, 0, 0), 0, 0),
         )
 
 
 def test_supertrace():
     P = AlgebraParams(1, 1, 1, 1)
     assert _identity(P).supertrace() == 1
-    assert matrix_unit(0, 0, P).supertrace() == 1
-    assert matrix_unit(P.m + 1, P.m + 1, P).supertrace() == RadicalSum(-1)
+    assert GradedMatrix.unit(P, 0, 0).supertrace() == 1
+    assert GradedMatrix.unit(P, P.m + 1, P.m + 1).supertrace() == RadicalSum(-1)
 
 
 def test_jacobi_exhaustive_small():
     P = AlgebraParams(1, 0, 1, 0)
-    units = [matrix_unit(i, j, P) for i in P.indices() for j in P.indices()]
+    units = [GradedMatrix.unit(P, i, j) for i in P.indices() for j in P.indices()]
     for x in units:
         for y in units:
             for z in units:
@@ -194,23 +199,23 @@ def test_jacobi_exhaustive_small():
 
 def test_jacobi_spot_cases():
     P = AlgebraParams(1, 0, 1, 0)
-    e00 = matrix_unit(0, 0, P)
+    e00 = GradedMatrix.unit(P, 0, 0)
     assert _jacobi_residual(e00, e00, e00).is_zero
     assert _jacobi_residual(
-        matrix_unit(0, 1, P), matrix_unit(1, 0, P), matrix_unit(0, 2, P)
+        GradedMatrix.unit(P, 0, 1), GradedMatrix.unit(P, 1, 0), GradedMatrix.unit(P, 0, 2)
     ).is_zero
 
 
 def test_jacobi_rejects_non_homogeneous():
     P = AlgebraParams(1, 0, 1, 0)
-    mixed = matrix_unit(0, 2, P) + matrix_unit(1, 1, P)
+    mixed = GradedMatrix.unit(P, 0, 2) + GradedMatrix.unit(P, 1, 1)
     with pytest.raises(ValueError):
         _jacobi_residual(mixed, mixed, mixed)
 
 
 def test_jacobi_random_triples_larger_algebra():
     P = AlgebraParams(2, 1, 1, 1)
-    units = [matrix_unit(i, j, P) for i in P.indices() for j in P.indices()]
+    units = [GradedMatrix.unit(P, i, j) for i in P.indices() for j in P.indices()]
     rng = random.Random(20240817)
     for _ in range(1000):
         x, y, z = (rng.choice(units) for _ in range(3))
@@ -222,7 +227,7 @@ def test_symmetry_and_grading_and_supertrace_of_brackets():
     units = []
     for i in P.indices():
         for j in P.indices():
-            m = matrix_unit(i, j, P)
+            m = GradedMatrix.unit(P, i, j)
             units.append((m, homogeneous_grade(m)))
     for x, a in units:
         for y, b in units:
@@ -252,7 +257,7 @@ def test_axiom_report_passes():
 def _reference_axiom_report(P):
     """The axiom sweep rebuilt from graded_bracket and _jacobi_residual."""
     units = [
-        (i, j, matrix_unit(i, j, P), P.index_grade(i) + P.index_grade(j))
+        (i, j, GradedMatrix.unit(P, i, j), P.index_grade(i) + P.index_grade(j))
         for i in P.indices()
         for j in P.indices()
     ]
@@ -381,7 +386,8 @@ def test_a_fault_only_the_jacobi_check_sees_matches_pinned_digest(monkeypatch, b
 def test_a_second_component_after_the_right_grade_fails_the_grading_check(monkeypatch):
     P = AlgebraParams(1, 1, 1, 1)
     honest = grading.graded_bracket
-    e01, e10, stray = matrix_unit(0, 1, P), matrix_unit(1, 0, P), matrix_unit(0, 3, P)
+    e01, e10 = GradedMatrix.unit(P, 0, 1), GradedMatrix.unit(P, 1, 0)
+    stray = GradedMatrix.unit(P, 0, 3)
 
     def planted(x, y):
         out = honest(x, y)
@@ -446,7 +452,7 @@ def test_a_planted_antisymmetry_fault_runs_the_full_sweep_and_names_its_pair(mon
     # transposed entry of the pair (e_01, e_10)
     P = AlgebraParams(1, 1, 1, 1)
     honest, full, runs = grading.graded_bracket, grading._full_axiom_sweep, []
-    e10, e01 = matrix_unit(1, 0, P), matrix_unit(0, 1, P)
+    e10, e01 = GradedMatrix.unit(P, 1, 0), GradedMatrix.unit(P, 0, 1)
 
     def planted(x, y):
         out = honest(x, y)
@@ -498,12 +504,39 @@ _VALUE_TYPES = [
     ]),
 ]
 
+# repr of the first value of each row above (kept apart so the test ids stay put)
+_REPRS = {
+    Grade: "Grade(a1=1, a2=0)",
+    AlgebraParams: "AlgebraParams(m1=1, m2=0, n1=1, n2=1)",
+    GeneratorId: "GeneratorId(index=2, sign='+')",
+    FTildeVariant: "FTildeVariant(plus_slot='lambda', minus_slot='theta')",
+}
+
+
+def _bare_value(cls, args):
+    """A value of ``cls``, a bare ``_Frozen`` subclass, with its slots set to ``args``."""
+    value = object.__new__(cls)
+    for field, arg in zip(cls.__slots__, args):
+        object.__setattr__(value, field, arg)
+    return value
+
 
 @pytest.mark.parametrize("cls, fields, args, other, invalid", _VALUE_TYPES)
 def test_value_types_compare_hash_and_refuse_assignment(cls, fields, args, other, invalid):
     value = cls(*args)
     same = cls(**dict(zip(fields, args)))
     assert value == same and hash(value) == hash(same)
+    text = _REPRS[cls]
+    assert repr(value) == text
+    # equal fields in another class: unequal, though each hashes as its field tuple
+    First, Second = (
+        type(name, (grading._Frozen,), {"__slots__": fields}) for name in ("First", "Second")
+    )
+    first, second = _bare_value(First, args), _bare_value(Second, args)
+    assert first == _bare_value(First, args) and first != second
+    assert value != first and first != value
+    assert hash(first) == hash(second) == hash(args)
+    assert repr(second) == "Second" + text[len(cls.__name__):]
     assert value != cls(*other) and len({value, same, cls(*other)}) == 2
     # hashed as the tuple of its fields, yet not equal to that tuple
     assert hash(value) == hash(args) and value != args
@@ -535,9 +568,51 @@ def test_reports_take_a_fresh_failure_list_by_default():
     assert VariantOutcome("v", True).relation_failure is None
 
 
+_FAILURE = CheckFailure("jacobi", (0, 1, 1, 0, 0, 2), [{"row": 0, "col": 2, "coeff": "-1"}])
+_FAILURE_JSON = {
+    "identity": "jacobi",
+    "indices": [0, 1, 1, 0, 0, 2],
+    "residual": [{"row": 0, "col": 2, "coeff": "-1"}],
+}
+_FIRST_FAILURE = {"suite": "relations-orthonormal", "relation": "rel2", "i": 1, "j": 2, "k": 1,
+                  "residual": []}
+_OUTCOMES_JSON = [
+    {"variant": "v0", "passed": True, "relation_failure": None},
+    {"variant": "v1", "passed": False, "relation_failure": _FIRST_FAILURE},
+]
+
+
+@pytest.mark.parametrize("report, expected, tuple_keys", [
+    (_FAILURE, _FAILURE_JSON, ["indices"]),
+    (
+        AxiomReport((1, 0, 1, 1), 10, 20, [_FAILURE]),
+        {"params": [1, 0, 1, 1], "pairs_checked": 10, "triples_checked": 20,
+         "failures": [_FAILURE_JSON]},
+        ["params"],
+    ),
+    (VariantOutcome("v1", False, _FIRST_FAILURE), _OUTCOMES_JSON[1], []),
+    (
+        DiscriminationReport(
+            (1, 0, 1, 1),
+            2,
+            [VariantOutcome("v0", True), VariantOutcome("v1", False, _FIRST_FAILURE)],
+        ),
+        {"params": [1, 0, 1, 1], "p": 2, "corrected_only_passes": True, "outcomes": _OUTCOMES_JSON},
+        ["params"],
+    ),
+])
+def test_report_json_keeps_its_key_order(report, expected, tuple_keys):
+    """Key order, which no digest covers here (the axiom digests sort their
+    keys), and tuple fields rendered as lists."""
+    data = report.to_json()
+    assert data == expected and list(data) == list(expected)
+    assert json.dumps(data) == json.dumps(expected)
+    assert all(type(data[key]) is list for key in tuple_keys)
+
+
 def test_matrix_json_row_major_nonzero():
     P = AlgebraParams(1, 0, 1, 0)
-    m = matrix_unit(2, 0, P) + matrix_unit(0, 1, P) * 2
+    m = GradedMatrix.unit(P, 2, 0) + GradedMatrix.unit(P, 0, 1) * 2
     data = m.to_json()
     assert data["params"] == [1, 0, 1, 0]
     coords = [(e["row"], e["col"]) for e in data["entries"]]
@@ -547,9 +622,9 @@ def test_matrix_json_row_major_nonzero():
 
 def test_matrix_algebra_basics():
     P = AlgebraParams(1, 0, 0, 0)
-    a = matrix_unit(0, 1, P)
-    b = matrix_unit(1, 0, P)
-    assert (a @ b) == matrix_unit(0, 0, P)
+    a = GradedMatrix.unit(P, 0, 1)
+    b = GradedMatrix.unit(P, 1, 0)
+    assert (a @ b) == GradedMatrix.unit(P, 0, 0)
     assert (a + b).transpose() == a + b
     assert (a * 0).is_zero
     assert a - a == GradedMatrix.zero(P)
@@ -614,7 +689,7 @@ def test_the_bracket_equals_its_two_product_reference(pair):
 def test_zero_brackets_match_the_two_product_reference():
     P, p = AlgebraParams(1, 1, 1, 1), 2
     plus, minus = ladder_operators(P, p, "orthonormal")
-    unit = matrix_unit(0, 3, P)
+    unit = GradedMatrix.unit(P, 0, 3)
     cases = [
         (GradedMatrix.zero(P), unit),  # no components: x._like({}), grade None
         (unit, GradedMatrix.zero(P)),

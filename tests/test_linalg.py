@@ -19,7 +19,6 @@ from zzsl import (
     enumerate_basis,
     graded_bracket,
     ladder_operators,
-    matrix_unit,
 )
 
 from graded import homogeneous_grade
@@ -112,18 +111,18 @@ def test_subtraction_is_one_signed_merge(monkeypatch):
             expected = up @ down + (down @ up) * -1
             assert up.commutator(down) == expected
             assert up.commutator(down).grade == expected.grade
-    a, b = matrix_unit(0, 1, P), matrix_unit(1, 0, P)
+    a, b = GradedMatrix.unit(P, 0, 1), GradedMatrix.unit(P, 1, 0)
     assert (a * 3) - a == a * 2  # overlapping entries
     assert a - b == GradedMatrix(P, {(0, 1): 1, (1, 0): -1})  # disjoint entries
     assert (a - a).is_zero
     for k in P.operator_indices():
         d = P.index_grade(k)
-        lhs = graded_bracket(matrix_unit(0, k, P), matrix_unit(k, 0, P))
+        lhs = graded_bracket(GradedMatrix.unit(P, 0, k), GradedMatrix.unit(P, k, 0))
         sign = -1 if d.dot(d) == 0 else 1
-        assert lhs == matrix_unit(0, 0, P) + matrix_unit(k, k, P) * sign
-    mixed = a + matrix_unit(3, 0, P)  # grades (0,0) and (1,0)
+        assert lhs == GradedMatrix.unit(P, 0, 0) + GradedMatrix.unit(P, k, k) * sign
+    mixed = a + GradedMatrix.unit(P, 3, 0)  # grades (0,0) and (1,0)
     expected = GradedMatrix(P, {(0, 0): 1, (3, 3): 1, (0, 1): 0})
-    assert graded_bracket(mixed, matrix_unit(0, 3, P)) == expected
+    assert graded_bracket(mixed, GradedMatrix.unit(P, 0, 3)) == expected
 
 
 def test_entries_and_scalars_must_be_exact():
@@ -131,8 +130,8 @@ def test_entries_and_scalars_must_be_exact():
     with pytest.raises(TypeError, match="matrix entries must be exact scalars, got float"):
         GradedMatrix(P, {(0, 1): 0.5})
     with pytest.raises(TypeError):
-        matrix_unit(0, 1, P) * 0.5
-    assert matrix_unit(0, 1, P) * Fraction(1, 2) == GradedMatrix(P, {(0, 1): Fraction(1, 2)})
+        GradedMatrix.unit(P, 0, 1) * 0.5
+    assert GradedMatrix.unit(P, 0, 1) * Fraction(1, 2) == GradedMatrix(P, {(0, 1): Fraction(1, 2)})
 
 
 def test_indices_must_be_ints():
@@ -166,7 +165,7 @@ def test_declared_grades_propagate_and_sums_of_two_grades_drop_them():
 def test_brackets_leave_no_reference_cycles():
     P = AlgebraParams(1, 1, 1, 1)
     plus, minus = ladder_operators(P, 2)
-    unit = matrix_unit(0, 3, P)
+    unit = GradedMatrix.unit(P, 0, 3)
     gc.collect()
     gc.disable()
     try:
@@ -176,7 +175,7 @@ def test_brackets_leave_no_reference_cycles():
                 inner = graded_bracket(up, down)
                 results.append(graded_bracket(inner, up))
                 homogeneous_grade(inner)
-        mixed = matrix_unit(0, 1, P) + matrix_unit(3, 0, P)
+        mixed = GradedMatrix.unit(P, 0, 1) + GradedMatrix.unit(P, 3, 0)
         results.append(graded_bracket(graded_bracket(mixed, unit), mixed))
         del results, inner, mixed
         assert gc.collect() == 0
@@ -188,8 +187,8 @@ def test_integral_entries_are_stored_as_int():
     from zzsl.grading import _BracketTable
 
     P = AlgebraParams(1, 1, 1, 1)
-    assert matrix_unit(0, 2, P)._entries == {(0, 2): 1}
-    assert type(matrix_unit(0, 2, P)._entries[0, 2]) is int
+    assert GradedMatrix.unit(P, 0, 2)._entries == {(0, 2): 1}
+    assert type(GradedMatrix.unit(P, 0, 2)._entries[0, 2]) is int
     plus, minus = ladder_operators(P, 3, "unnormalized")
     for op in plus + minus:
         assert op.nnz and {type(c) for c in op._entries.values()} == {int}

@@ -311,7 +311,7 @@ def test_occupancy_report():
     assert report.max_r == [3]
     assert report.max_l == [3]
     assert report.max_theta == [1]
-    assert report.max_lam == [1]
+    assert report.max_lambda == [1]
     assert report.max_total == 3
     assert report.dimension == dimension(AlgebraParams(1, 1, 1, 1), 3)
 
