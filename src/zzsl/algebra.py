@@ -17,13 +17,6 @@ __all__ = [
     "GeneratorId",
     "generator_ids",
     "generator_matrix",
-    "rel2_terms",
-    "rel3_terms",
-    "RELATION_TAGS",
-    "sweep_indices",
-    "checks_at",
-    "relation_failures",
-    "relation_report",
     "verify_defining_relations",
 ]
 

@@ -36,7 +36,6 @@ from .reports import (
 
 __all__ = [
     "BASIS_KINDS",
-    "MAX_BASIS_DIMENSION",
     "FockBasis",
     "SparseOperator",
     "FTildeVariant",
@@ -174,11 +173,26 @@ class FockBasis:
 
 def _admissible_occupations(params: AlgebraParams, p: int) -> tuple[tuple[int, ...], ...]:
     """Occupation tuples with total <= p and odd orbitals at most 1, built
-    one orbital at a time from the quanta left, sorted by (total, tuple)."""
-    states = [()]
-    for orbital in range(params.m + params.n):
+    one orbital at a time from the quanta left, sorted by (total, tuple).
+
+    Each open prefix carries its total; one that reaches p is complete, so it
+    is padded with zeros once instead of being copied at every later orbital.
+    """
+    width = params.m + params.n
+    states: list[tuple[int, ...]] = []
+    prefixes = [((), 0)]
+    for orbital in range(width):
         cap = 1 if orbital >= params.m else p
-        states = [occ + (k,) for occ in states for k in range(min(cap, p - sum(occ)) + 1)]
+        pad = (0,) * (width - orbital - 1)
+        grown = []
+        for occ, total in prefixes:
+            for k in range(min(cap, p - total) + 1):
+                if total + k == p:
+                    states.append(occ + (k,) + pad)
+                else:
+                    grown.append((occ + (k,), total + k))
+        prefixes = grown
+    states += [occ for occ, _ in prefixes]
     states.sort(key=lambda occ: (sum(occ), occ))
     return tuple(states)
 

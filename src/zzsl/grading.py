@@ -18,7 +18,6 @@ __all__ = [
     "GradedMatrix",
     "graded_bracket",
     "axiom_report",
-    "MAX_AXIOM_TRIPLES",
 ]
 
 # Largest Jacobi sweep ``axiom_report`` will run, in basis triples (N**6 for
@@ -375,9 +374,6 @@ def _full_axiom_sweep(
     elements = brackets.elements
     failures: list[CheckFailure] = []
     jacobi: list[CheckFailure] = []
-    # each distinct residual, keyed by its three bracket ids and sign, with
-    # whether it is zero
-    residuals: dict[tuple[int, int, int, int], tuple[GradedMatrix, bool]] = {}
     for x, (i1, j1, ux, a) in enumerate(units):
         row_x = table[x]
         for y, (i2, j2, uy, b) in enumerate(units):
@@ -388,15 +384,11 @@ def _full_axiom_sweep(
                 # [x,[y,z]] - [[x,y],z] - (-1)**(a.b) [y,[x,z]]
                 t1, t2, t3 = brackets[ux, yz], brackets[xy, uz], brackets[uy, xz]
                 if t1 or t2 or t3:
-                    key = (t1, t2, t3, sign)
-                    found = residuals.get(key)
-                    if found is None:
-                        res = elements[t1] - elements[t2]
-                        elements[t3]._add_into(res._entries, -sign)
-                        found = residuals[key] = (res, res.is_zero)
-                    if not found[1]:
+                    res = elements[t1] - elements[t2]
+                    elements[t3]._add_into(res._entries, -sign)
+                    if not res.is_zero:
                         jacobi.append(
-                            CheckFailure("jacobi", (i1, j1, i2, j2, i3, j3), found[0].to_json())
+                            CheckFailure("jacobi", (i1, j1, i2, j2, i3, j3), res.to_json())
                         )
 
     n = len(units)

@@ -7,7 +7,7 @@ from typing import Mapping
 
 from .radicals import RadicalSum, exact
 
-__all__ = ["SparseMatrix", "RationalRowSpace"]
+__all__ = ["RationalRowSpace"]
 
 
 class SparseMatrix:

@@ -15,7 +15,7 @@ from functools import lru_cache
 from math import gcd
 from typing import Union
 
-__all__ = ["Rational", "normalize_radical", "RadicalSum", "exact"]
+__all__ = ["normalize_radical", "RadicalSum"]
 
 Rational = Union[int, Fraction]
 

@@ -1,6 +1,7 @@
 """Export lists: every name a module lists in ``__all__`` is defined there,
-so ``from zzsl import *`` and its per-module forms do not break, and every
-name the package exports is listed by the module that defines it."""
+so ``from zzsl import *`` and its per-module forms do not break, every name
+the package exports is listed by the module that defines it, and no module
+lists a name the package does not export."""
 
 import ast
 import importlib
@@ -65,6 +66,18 @@ def test_every_package_export_is_listed_where_it_is_defined():
         if attr not in getattr(importlib.import_module(homes[0]), "__all__", []):
             unlisted.append(f"{homes[0]}.{attr}")
     assert not unlisted, f"exported by zzsl but missing from their module's __all__: {unlisted}"
+
+
+def test_every_module_export_is_a_package_export():
+    """The module ``__all__`` lists are the one declaration of the API, so a
+    name listed by a module but not re-exported by the package is a second list."""
+    module_only = [
+        f"{name}.{attr}"
+        for name in _MODULES
+        for attr in getattr(importlib.import_module(name), "__all__", [])
+        if attr not in zzsl.__all__
+    ]
+    assert not module_only, f"listed in a module's __all__ but not exported by zzsl: {module_only}"
 
 
 def test_the_runtime_imports_only_the_standard_library():

@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import time
 from collections import deque
 from fractions import Fraction
 from math import factorial, prod
@@ -131,6 +132,22 @@ def test_basis_is_the_brute_force_occupation_set(module):
     basis = enumerate_basis(P, p)
     assert list(basis.occupations) == sorted(admissible, key=lambda occ: (sum(occ), occ))
     assert len(basis) == closed_form_dimension(P, p)
+
+
+def test_a_wide_order_one_basis_is_enumerated_in_time_linear_in_its_size():
+    """2000 bosonic orbitals at p = 1: 2001 states.  An enumerator that
+    re-sums and copies every prefix at every orbital took tens of seconds; one
+    that pads each completed prefix once takes a fraction of a second.  The
+    enumerator is called directly, so the large basis does not stay in the
+    ``enumerate_basis`` cache."""
+    width = 2000
+    start = time.perf_counter()
+    states = fock._admissible_occupations(AlgebraParams(width, 0, 0, 0), 1)
+    elapsed = time.perf_counter() - start
+    assert len(states) == width + 1
+    assert states[0] == (0,) * width and states[1] == (0,) * (width - 1) + (1,)
+    assert states[-1] == (1,) + (0,) * (width - 1)
+    assert elapsed < 10, f"{elapsed:.2f}s"
 
 
 # sha256 over json.dumps([[m1, m2, n1, n2], p, basis.to_json()]) for every
@@ -1119,6 +1136,61 @@ def test_a_fault_in_both_kinds_keeps_the_shortcut_exact(monkeypatch, name):
         ladder_operators.cache_clear()
     assert got.failures
     assert got.to_json() == forced.to_json()
+
+
+# Compositions with blocks <= 2 and 1 <= m+n <= 4, for the drawn faults below.
+_FAULT_BLOCKS = [b for b in itertools.product(range(3), repeat=4) if 1 <= sum(b) <= 4]
+
+
+@st.composite
+def _drawn_rule_faults(draw):
+    """A module (blocks <= 2, m+n <= 4, p <= 3), one generator and one state
+    where its action has a term, and a fault on that term alone: double,
+    negate or drop it, or retarget it to another admissible state.  The fault
+    acts in both basis kinds or in one of them."""
+    P, p = AlgebraParams(*draw(st.sampled_from(_FAULT_BLOCKS))), draw(st.integers(1, 3))
+    gid = draw(st.sampled_from(generator_ids(P)))
+    act = fock._ladder_rule(gid, P, p, "unnormalized", FT_CORRECTED)
+    occupations = enumerate_basis(P, p).occupations
+    state = draw(st.sampled_from([occ for occ in occupations if act(occ, sum(occ))]))
+    target = act(state, sum(state))[1]
+    change = draw(st.sampled_from(["double", "negate", "drop", "retarget"]))
+    if change == "retarget":
+        target = draw(st.sampled_from([occ for occ in occupations if occ != target]))
+    kinds = draw(st.sampled_from([BASIS_KINDS, *((kind,) for kind in BASIS_KINDS)]))
+
+    def fault(fault_gid, params, p, kind, occ, R, term):
+        if fault_gid != gid or occ != state or kind not in kinds:
+            return term
+        if change == "drop":
+            return None
+        return term[0] * {"double": 2, "negate": -1, "retarget": 1}[change], target
+
+    return P, p, fault
+
+
+def _reports_under(P, p, fault, shortcut):
+    """The JSON of ``verify_representation(P, p)`` and of every standalone
+    ``relation_suite`` family under ``fault``, with the conjugation shortcut
+    as it is or forced to decline."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fock, "_ladder_rule", _faulty_rule(fault))
+        if not shortcut:
+            mp.setattr(fock, "_orthonormal_is_conjugate", lambda *args: False)
+        ladder_operators.cache_clear()
+        try:
+            rep = verify_representation(P, p).to_json()
+            families = [relation_suite(family, P, p).to_json() for family in FAMILIES]
+        finally:
+            ladder_operators.cache_clear()
+    return rep, families
+
+
+@settings(max_examples=40, deadline=None)
+@given(_drawn_rule_faults())
+def test_a_drawn_fault_reports_what_the_forced_full_sweep_reports(drawn):
+    P, p, fault = drawn
+    assert _reports_under(P, p, fault, True) == _reports_under(P, p, fault, False)
 
 
 # ------------------------------------------- the rational conjugation check

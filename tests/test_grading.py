@@ -471,6 +471,48 @@ def test_a_planted_antisymmetry_fault_runs_the_full_sweep_and_names_its_pair(mon
     assert report.to_json() == _full_sweep_json(P)
 
 
+@st.composite
+def _perturbed_brackets(draw):
+    """An algebra with m+n <= 3 and a ``graded_bracket`` whose value on one
+    drawn pair of units (x, y) of degrees (a, b) is moved by plus or minus
+    one drawn unit s, of degree a+b or of any degree.  Mirrored, [y, x] moves
+    by -e(a,b) s too, so the symmetry check passes and, with s of degree a+b,
+    the grading check too: then the Jacobi check must see the fault."""
+    blocks = draw(st.sampled_from(
+        [b for b in itertools.product(range(4), repeat=4) if sum(b) <= 3]
+    ))
+    P = AlgebraParams(*blocks)
+    units = [(i, j) for i in P.indices() for j in P.indices()]
+    x, y = draw(st.sampled_from(units)), draw(st.sampled_from(units))
+    a, b = (P.index_grade(i) + P.index_grade(j) for i, j in (x, y))
+    graded = [(i, j) for i, j in units if P.index_grade(i) + P.index_grade(j) == a + b]
+    s = draw(st.sampled_from(graded if graded and draw(st.booleans()) else units))
+    shift = GradedMatrix.unit(P, *s) * draw(st.sampled_from([1, -1]))
+    ex, ey = GradedMatrix.unit(P, *x), GradedMatrix.unit(P, *y)
+    shifts = [((ex, ey), shift)]
+    if draw(st.booleans()):
+        shifts.append(((ey, ex), shift * -a.sign(b)))
+    honest = grading.graded_bracket
+
+    def perturbed(u, v):
+        out = honest(u, v)
+        for pair, by in shifts:
+            if (u, v) == pair:
+                out = out + by
+        return out
+
+    return P, perturbed
+
+
+@settings(max_examples=30, deadline=None)
+@given(_perturbed_brackets())
+def test_a_perturbed_bracket_reports_what_the_full_sweep_reports(drawn):
+    P, perturbed = drawn
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(grading, "graded_bracket", perturbed)
+        assert axiom_report(P).to_json() == _full_sweep_json(P)
+
+
 def test_axiom_sweep_size_guard(monkeypatch):
     def refuse(*args):
         raise AssertionError("the axiom sweep was started")
